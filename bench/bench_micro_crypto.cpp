@@ -72,10 +72,11 @@ void BM_Ed25519_Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519_Verify);
 
-// --- batch verification strategy sweep (docs/PERF.md) ------------------
-// Same workload for every strategy: n distinct (message, signature, key)
-// triples, all valid — the common case on the eager-validation path. The
-// per-item time is the number to compare against BM_Ed25519_Verify.
+// --- batch verification sweep (docs/PERF.md) ----------------------------
+// Same workload for the sequential reference and for verify_batch without
+// and with a pool: n distinct (message, signature, key) triples, all valid —
+// the common case on the eager-validation path. The per-item time is the
+// number to compare against BM_Ed25519_Verify.
 
 struct BatchFixture {
   std::vector<Bytes> messages;
@@ -98,36 +99,35 @@ BatchFixture make_batch(std::size_t n) {
   return fixture;
 }
 
-void run_batch_bench(benchmark::State& state, const BatchVerifier& verifier) {
+void run_batch_bench(benchmark::State& state, ThreadPool* pool) {
   const SignatureScheme& ed = SignatureScheme::ed25519();
   const BatchFixture fixture =
       make_batch(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verifier.verify(ed, fixture.items));
+    benchmark::DoNotOptimize(verify_batch(ed, fixture.items, pool));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 void BM_Ed25519_BatchSequential(benchmark::State& state) {
-  run_batch_bench(state, SequentialBatchVerifier{});
+  const SignatureScheme& ed = SignatureScheme::ed25519();
+  const BatchFixture fixture =
+      make_batch(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(batch_verify_sequential(ed, fixture.items));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Ed25519_BatchSequential)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_Ed25519_BatchThreaded(benchmark::State& state) {
-  ThreadPool pool;
-  run_batch_bench(state, ThreadedBatchVerifier{pool, /*min_parallel=*/0});
-}
-BENCHMARK(BM_Ed25519_BatchThreaded)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-
 void BM_Ed25519_BatchMultiScalar(benchmark::State& state) {
-  run_batch_bench(state, SharedBatchVerifier{});
+  run_batch_bench(state, nullptr);
 }
 BENCHMARK(BM_Ed25519_BatchMultiScalar)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_Ed25519_BatchThreadedMultiScalar(benchmark::State& state) {
   ThreadPool pool;
-  run_batch_bench(state, ThreadedSharedBatchVerifier{pool, /*chunk_size=*/64,
-                                                     /*min_parallel=*/0});
+  run_batch_bench(state, &pool);
 }
 BENCHMARK(BM_Ed25519_BatchThreadedMultiScalar)
     ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
@@ -138,9 +138,8 @@ void BM_Ed25519_BatchMultiScalarAllBad(benchmark::State& state) {
   const SignatureScheme& ed = SignatureScheme::ed25519();
   BatchFixture fixture = make_batch(static_cast<std::size_t>(state.range(0)));
   for (auto& item : fixture.items) item.signature[5] ^= 1;
-  const SharedBatchVerifier verifier;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verifier.verify(ed, fixture.items));
+    benchmark::DoNotOptimize(verify_batch(ed, fixture.items));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -85,7 +85,7 @@ void BM_PoolRemoveCommitted(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolRemoveCommitted);
 
-// --- eager validation: monolith vs staged pipeline (docs/PERF.md) -------
+// --- eager validation: monolith vs batch pipeline (docs/PERF.md) --------
 // Real ed25519 signatures and a populated StateDB; the monolith is the
 // pre-pipeline per-transaction eager_validate (re-encode + re-hash + one
 // verify per tx), the pipeline reads cached fields and batch-verifies.
@@ -137,12 +137,8 @@ BENCHMARK(BM_PipelineValidate)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 void BM_PipelineValidatePooled(benchmark::State& state) {
   const ValidationFixture fixture(static_cast<std::size_t>(state.range(0)));
   ThreadPool pool;
-  const crypto::ThreadedSharedBatchVerifier verifier(pool, /*chunk_size=*/64,
-                                                     /*min_parallel=*/16);
-  txn::PipelineOptions options;
-  options.pool = &pool;
-  options.verifier = &verifier;
-  const txn::ValidationPipeline pipeline(ed25519(), fixture.vcfg, options);
+  const txn::ValidationPipeline pipeline(ed25519(), fixture.vcfg,
+                                         txn::PipelineOptions{.pool = &pool});
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.validate(fixture.txs, fixture.db));
   }

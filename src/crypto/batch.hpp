@@ -1,25 +1,18 @@
-// Batch signature verification strategies. Eager validation is dominated by
-// the per-transaction signature check; how a batch of independent signatures
-// is verified is a pluggable strategy:
+// Batch signature verification. Eager validation is dominated by the
+// per-transaction signature check, and there is one way to check a batch:
+// the scheme's shared-computation algorithm (for ed25519, one multi-scalar
+// multiplication per chunk), with chunks spread across a thread pool when
+// one is given and the batch is large enough to pay for the fan-out. With
+// one worker or no pool it degenerates to the plain multi-scalar batch.
 //
-//   SequentialBatchVerifier      one verify() per item on the calling thread
-//                                (the reference all strategies must match).
-//   ThreadedBatchVerifier        independent verifies fanned across a thread
-//                                pool — changes wall-clock time, never
-//                                outcomes.
-//   SharedBatchVerifier          the scheme's own shared-computation batch
-//                                algorithm (for ed25519, one multi-scalar
-//                                multiplication for the whole batch).
-//   ThreadedSharedBatchVerifier  shared-computation chunks spread across a
-//                                thread pool — multi-scalar sharing inside a
-//                                chunk, core parallelism across chunks.
-//
-// Every strategy returns results positionally identical to
-// batch_verify_sequential (the ed25519 soundness caveat is documented in
-// docs/PERF.md). Items carry BytesView messages; the caller owns the message
-// buffers and must keep them alive across the call.
+// verify_batch returns results positionally identical to
+// batch_verify_sequential, the one-verify-per-item reference the tests
+// compare against (the ed25519 soundness caveat is documented in
+// docs/PERF.md). Items carry BytesView messages; the caller owns the
+// message buffers and must keep them alive across the call.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -28,77 +21,19 @@
 
 namespace srbb::crypto {
 
-class BatchVerifier {
- public:
-  virtual ~BatchVerifier() = default;
-  virtual const char* name() const = 0;
-  virtual std::vector<bool> verify(const SignatureScheme& scheme,
-                                   std::span<const BatchVerifyItem> items)
-      const = 0;
-};
+/// Items per multi-scalar chunk handed to one pool worker.
+inline constexpr std::size_t kVerifyChunkSize = 64;
+/// Batches smaller than this stay on the calling thread even with a pool.
+inline constexpr std::size_t kVerifyMinParallel = 16;
 
-/// One scheme.verify() per item on the calling thread.
-class SequentialBatchVerifier final : public BatchVerifier {
- public:
-  const char* name() const override { return "sequential"; }
-  std::vector<bool> verify(const SignatureScheme& scheme,
-                           std::span<const BatchVerifyItem> items)
-      const override;
-};
-
-/// Independent verifies fanned out across a thread pool. Batches smaller
-/// than `min_parallel` stay on the calling thread — the fan-out overhead
-/// dwarfs tiny batches.
-class ThreadedBatchVerifier final : public BatchVerifier {
- public:
-  explicit ThreadedBatchVerifier(ThreadPool& pool,
-                                 std::size_t min_parallel = 8)
-      : pool_(pool), min_parallel_(min_parallel) {}
-  const char* name() const override { return "threaded"; }
-  std::vector<bool> verify(const SignatureScheme& scheme,
-                           std::span<const BatchVerifyItem> items)
-      const override;
-
- private:
-  ThreadPool& pool_;
-  std::size_t min_parallel_;
-};
-
-/// The scheme's shared-computation batch algorithm on the calling thread.
-class SharedBatchVerifier final : public BatchVerifier {
- public:
-  const char* name() const override { return "shared"; }
-  std::vector<bool> verify(const SignatureScheme& scheme,
-                           std::span<const BatchVerifyItem> items)
-      const override;
-};
-
-/// Shared-computation chunks of `chunk_size` spread across a thread pool.
-/// Batches smaller than `min_parallel` run as one chunk on the calling
-/// thread.
-class ThreadedSharedBatchVerifier final : public BatchVerifier {
- public:
-  explicit ThreadedSharedBatchVerifier(ThreadPool& pool,
-                                       std::size_t chunk_size = 64,
-                                       std::size_t min_parallel = 16)
-      : pool_(pool), chunk_size_(chunk_size), min_parallel_(min_parallel) {}
-  const char* name() const override { return "threaded-shared"; }
-  std::vector<bool> verify(const SignatureScheme& scheme,
-                           std::span<const BatchVerifyItem> items)
-      const override;
-
- private:
-  ThreadPool& pool_;
-  std::size_t chunk_size_;
-  std::size_t min_parallel_;
-};
-
-/// Verify every item, fanning out across `pool` (ThreadedBatchVerifier).
-std::vector<bool> batch_verify(const SignatureScheme& scheme,
+/// Verify every item with the scheme's batch algorithm: on the calling
+/// thread without a pool or below kVerifyMinParallel items, otherwise in
+/// kVerifyChunkSize-item chunks across `pool`.
+std::vector<bool> verify_batch(const SignatureScheme& scheme,
                                std::span<const BatchVerifyItem> items,
-                               ThreadPool& pool);
+                               ThreadPool* pool = nullptr);
 
-/// Sequential reference (used by tests and single-core callers).
+/// One scheme.verify() per item on the calling thread: the test reference.
 std::vector<bool> batch_verify_sequential(
     const SignatureScheme& scheme, std::span<const BatchVerifyItem> items);
 

@@ -206,7 +206,14 @@ void ValidatorNode::on_client_tx(sim::NodeId from, const txn::TxPtr& tx) {
   // is the congestion the paper measures).
   post_work(config_.costs.eager_validation, guarded([this, from, tx] {
     ++metrics_.eager_validations;
-    if (committed_txs_.contains(tx->hash) || pool_.contains(tx->hash)) return;
+    if (const auto done = committed_txs_.find(tx->hash);
+        done != committed_txs_.end()) {
+      // A resend of a committed transaction: the first ack may have been
+      // lost with a crashed validator, so acknowledge it from here.
+      send_commit_ack(from, tx->hash, done->second);
+      return;
+    }
+    if (pool_.contains(tx->hash)) return;
     const Status valid = pipeline_.validate_one(*tx, oracle_->db());
     // Span covering the validation CPU charge: post_work delivered us at the
     // completion instant, so the span starts one cost earlier.
@@ -225,6 +232,16 @@ void ValidatorNode::on_client_tx(sim::NodeId from, const txn::TxPtr& tx) {
       gossip_tx(tx, std::nullopt);
     }
   }));
+}
+
+void ValidatorNode::send_commit_ack(sim::NodeId client, const Hash32& tx_hash,
+                                    bool executed_ok) {
+  auto ack = std::make_shared<CommitAckMsg>();
+  ack->tx_hash = tx_hash;
+  ack->executed_ok = executed_ok;
+  SRBB_TRACE(config_.trace, now(), 0, config_.self, "commit", "commit.ack",
+             "tx", obs::trace_id(tx_hash), "ok", executed_ok ? 1 : 0);
+  send(client, std::move(ack));
 }
 
 void ValidatorNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
@@ -480,17 +497,11 @@ void ValidatorNode::commit_index(std::uint64_t index,
       const TxOutcome& outcome = block_result.outcomes[t];
       if (outcome.valid) {
         ++metrics_.txs_committed_valid;
-        committed_txs_.insert(outcome.hash);
+        committed_txs_.emplace(outcome.hash, outcome.executed_ok);
         committed_hashes.push_back(outcome.hash);
         const auto origin = client_origins_.find(outcome.hash);
         if (origin != client_origins_.end()) {
-          auto ack = std::make_shared<CommitAckMsg>();
-          ack->tx_hash = outcome.hash;
-          ack->executed_ok = outcome.executed_ok;
-          SRBB_TRACE(config_.trace, now(), 0, config_.self, "commit",
-                     "commit.ack", "tx", obs::trace_id(outcome.hash), "ok",
-                     outcome.executed_ok ? 1 : 0);
-          send(origin->second, ack);
+          send_commit_ack(origin->second, outcome.hash, outcome.executed_ok);
           client_origins_.erase(origin);
         }
       } else {
@@ -622,13 +633,14 @@ void ValidatorNode::commit_index(std::uint64_t index,
 void ValidatorNode::recycle_undecided(std::uint64_t index) {
   // Alg. 1 lines 27-31: transactions of received-but-undecided blocks are
   // eagerly validated and returned to the pool for a future block. Each
-  // block goes through the staged pipeline as one batch — one batched
-  // signature verification per block instead of per transaction — and the
-  // survivors are re-admitted in one add_batch call. Candidate selection and
-  // metric accounting match the old per-transaction loop exactly: in-block
-  // duplicates are screened by `in_batch` (the sequential loop caught them
-  // via pool_.contains after the first admission), and admission between
-  // blocks keeps cross-block duplicates on the pool_.contains path.
+  // block goes through ValidationPipeline::validate as one batch — one
+  // batched signature verification per block instead of per transaction —
+  // and the survivors are re-admitted in one add_batch call. Candidate
+  // selection and metric accounting match the old per-transaction loop
+  // exactly: in-block duplicates are screened by `in_batch` (the sequential
+  // loop caught them via pool_.contains after the first admission), and
+  // admission between blocks keeps cross-block duplicates on the
+  // pool_.contains path.
   const auto it = instances_.find(index);
   if (it == instances_.end()) return;
   std::vector<txn::TxPtr> candidates;

@@ -190,6 +190,8 @@ class ValidatorNode : public sim::SimNode {
   void on_client_tx(sim::NodeId from, const txn::TxPtr& tx);
   void on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx);
   void admit_to_pool(const txn::TxPtr& tx);
+  void send_commit_ack(sim::NodeId client, const Hash32& tx_hash,
+                       bool executed_ok);
   void gossip_tx(const txn::TxPtr& tx, std::optional<sim::NodeId> skip);
 
   consensus::SuperblockInstance& instance_for(std::uint64_t index);
@@ -232,12 +234,14 @@ class ValidatorNode : public sim::SimNode {
   const sim::GossipOverlay* overlay_;
 
   pool::TxPool pool_;
-  /// Staged validation (DESIGN.md §11): per-event paths use validate_one
+  /// Eager validation (DESIGN.md §11): per-event paths use validate_one
   /// (the monolith's exact order over cached fields); recycle_undecided
-  /// batches a whole undecided block through the stages at once.
+  /// batch-validates a whole undecided block at once.
   txn::ValidationPipeline pipeline_;
   std::unordered_set<Hash32, Hash32Hasher> seen_gossip_;
-  std::unordered_set<Hash32, Hash32Hasher> committed_txs_;
+  /// Committed transaction hash -> its executed_ok, so a client's resend of
+  /// a committed transaction can still be acknowledged.
+  std::unordered_map<Hash32, bool, Hash32Hasher> committed_txs_;
   std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> client_origins_;
 
   std::map<std::uint64_t, std::unique_ptr<consensus::SuperblockInstance>>

@@ -22,6 +22,8 @@ Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
   }
 
   const Address sender = tx.sender();
+  // lazy_validate accepted max_cost(tx), so gas_price * gas_limit fits in
+  // 256 bits; the refund and coinbase products below are no larger.
   const U256 gas_prepay = tx.gas_price * U256{tx.gas_limit};
 
   const state::StateView::Snapshot tx_snapshot = db.snapshot();

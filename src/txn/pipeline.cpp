@@ -1,22 +1,19 @@
 #include "txn/pipeline.hpp"
 
+#include <cstdint>
 #include <string>
 
+#include "crypto/batch.hpp"
 #include "evm/analysis/interproc.hpp"
 
 namespace srbb::txn {
 
 namespace {
 
-// Maximum wei the transaction can cost: gas budget plus transferred value.
-U256 max_cost(const Transaction& tx) {
-  return tx.gas_price * U256{tx.gas_limit} + tx.value;
-}
-
+// (ii) size limit first: cheap and bounds later work. The cached wire size
+// equals tx.wire_size() — the codec round-trip is canonical.
 Status structural_check(const CachedTx& cached,
                         const ValidationConfig& config) {
-  // (ii) size limit first: cheap and bounds later work. The cached wire size
-  // equals tx.wire_size() — the codec round-trip is canonical.
   if (cached.size > config.max_tx_size) {
     return Status::error("eager: transaction exceeds size limit");
   }
@@ -27,6 +24,19 @@ Status structural_check(const CachedTx& cached,
   return Status::ok();
 }
 
+// (i) the sender's signature over the cached signing digest — the expensive
+// check. The item's message is a view into the CachedTx.
+crypto::BatchVerifyItem signature_item(const CachedTx& cached) {
+  return {cached.signing_hash.view(), cached.tx.signature,
+          cached.tx.sender_pubkey};
+}
+
+Status invalid_signature() {
+  return Status::error("eager: invalid signature");
+}
+
+// (iii)-(vi) against the state. Sequential: state reads are cheap and the
+// StateView interface makes no concurrency promises.
 Status state_check(const CachedTx& cached, const state::StateView& db,
                    const ValidationConfig& config) {
   const Transaction& tx = cached.tx;
@@ -40,7 +50,8 @@ Status state_check(const CachedTx& cached, const state::StateView& db,
     return Status::error("eager: nonce too far in the future");
   }
   // (iv) + (v) the account can afford worst-case gas plus the value moved.
-  if (db.balance(sender) < max_cost(tx)) {
+  const std::optional<U256> cost = max_cost(tx);
+  if (!cost || db.balance(sender) < *cost) {
     return Status::error("eager: insufficient balance for gas + value");
   }
   // (vi) static min-gas gate, as in eager_validate: the composed
@@ -64,111 +75,82 @@ Status state_check(const CachedTx& cached, const state::StateView& db,
 
 }  // namespace
 
-void StructuralStage::run(ValidationBatch& batch) const {
-  const std::size_t n = batch.txs.size();
-  auto check = [&](std::size_t i) {
-    if (!batch.results[i].is_ok()) return;
-    Status status = structural_check(*batch.txs[i], *config_);
-    if (!status.is_ok()) batch.results[i] = std::move(status);
-  };
-  if (pool_ != nullptr && n >= min_parallel_) {
-    // Distinct vector elements; no two workers touch the same index.
-    pool_->parallel_for(n, check);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) check(i);
-  }
-}
-
-void SignatureStage::run(ValidationBatch& batch) const {
-  std::vector<std::uint32_t> live;
-  std::vector<crypto::BatchVerifyItem> items;
-  live.reserve(batch.txs.size());
-  items.reserve(batch.txs.size());
-  for (std::size_t i = 0; i < batch.txs.size(); ++i) {
-    if (!batch.results[i].is_ok()) continue;
-    const CachedTx& cached = *batch.txs[i];
-    // The message is the cached signing digest — a view into the CachedTx,
-    // which outlives the call via the batch's TxPtr span.
-    items.push_back({cached.signing_hash.view(), cached.tx.signature,
-                     cached.tx.sender_pubkey});
-    live.push_back(static_cast<std::uint32_t>(i));
-  }
-  if (items.empty()) return;
-  const std::vector<bool> ok = verifier_->verify(*scheme_, items);
-  for (std::size_t j = 0; j < live.size(); ++j) {
-    if (!ok[j]) {
-      batch.results[live[j]] = Status::error("eager: invalid signature");
-    }
-  }
-}
-
-void StateStage::run(ValidationBatch& batch) const {
-  for (std::size_t i = 0; i < batch.txs.size(); ++i) {
-    if (!batch.results[i].is_ok()) continue;
-    Status status = state_check(*batch.txs[i], *batch.db, *config_);
-    if (!status.is_ok()) batch.results[i] = std::move(status);
-  }
-}
-
 ValidationPipeline::ValidationPipeline(const crypto::SignatureScheme& scheme,
                                        ValidationConfig config,
                                        PipelineOptions options)
-    : scheme_(&scheme), config_(config) {
-  const crypto::BatchVerifier& verifier =
-      options.verifier != nullptr ? *options.verifier : default_verifier_;
-  stages_.push_back(std::make_unique<StructuralStage>(config_, options.pool,
-                                                      options.min_parallel));
-  stages_.push_back(std::make_unique<SignatureStage>(*scheme_, verifier));
-  stages_.push_back(std::make_unique<StateStage>(config_));
+    : scheme_(&scheme), config_(config), pool_(options.pool) {
   if (options.metrics != nullptr) {
-    counters_.reserve(stages_.size());
-    for (const auto& stage : stages_) {
-      const std::string base =
-          std::string("validate.stage.") + stage->name();
-      counters_.push_back({&options.metrics->counter(base + ".pass"),
-                           &options.metrics->counter(base + ".fail")});
+    const char* names[] = {"structural", "signature", "state"};
+    for (std::size_t c = 0; c < counters_.size(); ++c) {
+      const std::string base = std::string("validate.stage.") + names[c];
+      counters_[c] = {&options.metrics->counter(base + ".pass"),
+                      &options.metrics->counter(base + ".fail")};
     }
   }
+}
+
+void ValidationPipeline::count(const CheckCounters& counters,
+                               std::size_t passed, std::size_t failed) const {
+  if (counters.pass == nullptr) return;
+  counters.pass->inc(passed);
+  counters.fail->inc(failed);
 }
 
 std::vector<Status> ValidationPipeline::validate(
     std::span<const TxPtr> txs, const state::StateView& db) const {
-  ValidationBatch batch;
-  batch.txs = txs;
-  batch.db = &db;
-  batch.results.assign(txs.size(), Status::ok());
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    std::size_t entering = 0;
-    if (!counters_.empty()) {
-      for (const Status& r : batch.results) entering += r.is_ok() ? 1 : 0;
-    }
-    stages_[s]->run(batch);
-    if (!counters_.empty()) {
-      std::size_t surviving = 0;
-      for (const Status& r : batch.results) surviving += r.is_ok() ? 1 : 0;
-      counters_[s].pass->inc(surviving);
-      counters_[s].fail->inc(entering - surviving);
+  std::vector<Status> results(txs.size(), Status::ok());
+  // Indices still passing, narrowed after each check.
+  std::vector<std::uint32_t> live;
+  live.reserve(txs.size());
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    Status status = structural_check(*txs[i], config_);
+    if (status.is_ok()) {
+      live.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      results[i] = std::move(status);
     }
   }
-  return std::move(batch.results);
+  count(counters_[0], live.size(), txs.size() - live.size());
+
+  // The items view the CachedTx digests, which the TxPtr span keeps alive.
+  std::vector<crypto::BatchVerifyItem> items;
+  items.reserve(live.size());
+  for (const std::uint32_t i : live) items.push_back(signature_item(*txs[i]));
+  const std::vector<bool> signed_ok =
+      crypto::verify_batch(*scheme_, items, pool_);
+  std::size_t kept = 0;
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    if (signed_ok[j]) {
+      live[kept++] = live[j];
+    } else {
+      results[live[j]] = invalid_signature();
+    }
+  }
+  count(counters_[1], kept, live.size() - kept);
+  live.resize(kept);
+
+  std::size_t passed = 0;
+  for (const std::uint32_t i : live) {
+    Status status = state_check(*txs[i], db, config_);
+    if (status.is_ok()) {
+      ++passed;
+    } else {
+      results[i] = std::move(status);
+    }
+  }
+  count(counters_[2], passed, live.size() - passed);
+  return results;
 }
 
 Status ValidationPipeline::validate_one(const CachedTx& tx,
                                         const state::StateView& db) const {
-  return eager_validate_cached(tx, db, *scheme_, config_);
-}
-
-Status eager_validate_cached(const CachedTx& tx, const state::StateView& db,
-                             const crypto::SignatureScheme& scheme,
-                             const ValidationConfig& config) {
-  Status status = structural_check(tx, config);
+  Status status = structural_check(tx, config_);
   if (!status.is_ok()) return status;
-  // (i) signature over the cached digest — the expensive check.
-  if (!scheme.verify(tx.signing_hash.view(), tx.tx.signature,
-                     tx.tx.sender_pubkey)) {
-    return Status::error("eager: invalid signature");
+  const crypto::BatchVerifyItem sig = signature_item(tx);
+  if (!scheme_->verify(sig.message, sig.signature, sig.public_key)) {
+    return invalid_signature();
   }
-  return state_check(tx, db, config);
+  return state_check(tx, db, config_);
 }
 
 }  // namespace srbb::txn

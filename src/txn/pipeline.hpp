@@ -1,113 +1,43 @@
-// Pipelined eager validation (DESIGN.md §11). eager_validate's monolithic
-// checks (i)-(vi) decomposed into composable ValidationStage plugins — the
-// block-validator plugin idiom — ordered cheapest first:
+// Eager validation over cached transactions (DESIGN.md §11). One ordered
+// check list, cheapest first, with eager_validate's exact error strings:
 //
-//   structural  (ii) wire-size cap, gas floor / intrinsic cost   data-parallel
-//   signature   (i)  sender signature                            batched
-//   state       (iii) nonce window, (iv)+(v) balance,            sequential
-//               (vi) static min-gas gate
+//   structural  (ii) wire-size cap, gas floor / intrinsic cost
+//   signature   (i)  sender signature over the cached signing digest
+//   state       (iii) nonce window, (iv)+(v) balance, (vi) static min-gas
 //
-// A transaction stops at its first failing stage with exactly the Status
-// string eager_validate would produce, so batch results are positionally
-// identical to the monolith (test_validation_pipeline checks this
-// differentially). The signature stage hands the whole surviving batch to a
-// BatchVerifier — by default the scheme's shared-computation algorithm, for
-// ed25519 one multi-scalar multiplication — which is where the >=N-fold
-// per-item cost collapses to well under N independent verifies.
+// Two drivers run the list. validate_one checks one transaction straight
+// through. validate checks a batch: a structural loop, one
+// crypto::verify_batch call over the survivors (for ed25519 one multi-scalar
+// multiplication, which is where the per-item cost collapses), then a state
+// loop. A transaction stops at its first failing check, so batch results are
+// positionally identical to running eager_validate on each transaction
+// (test_validation_pipeline checks this differentially).
 //
 // The pipeline reads only cached per-transaction values (CachedTx size,
 // signing hash, sender), so validating never re-encodes or re-hashes a
 // transaction.
 #pragma once
 
-#include <memory>
+#include <array>
 #include <span>
 #include <vector>
 
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
-#include "crypto/batch.hpp"
 #include "obs/metrics.hpp"
 #include "txn/txref.hpp"
 #include "txn/validation.hpp"
 
 namespace srbb::txn {
 
-/// A batch moving through the stages. results[i] stays ok() while item i is
-/// passing; the first failing stage writes the monolith's error Status and
-/// later stages skip the item.
-struct ValidationBatch {
-  std::span<const TxPtr> txs;
-  const state::StateView* db = nullptr;
-  std::vector<Status> results;
-};
-
-/// One composable stage: stateless and const, so a stage object may be run
-/// from several pipeline instances (and, for the data-parallel stages, from
-/// pool workers on disjoint items) concurrently.
-class ValidationStage {
- public:
-  virtual ~ValidationStage() = default;
-  virtual const char* name() const = 0;
-  virtual void run(ValidationBatch& batch) const = 0;
-};
-
 struct PipelineOptions {
-  /// Worker pool for the data-parallel stages; nullptr runs everything on
+  /// Worker pool for the batch signature call; nullptr keeps everything on
   /// the calling thread.
   ThreadPool* pool = nullptr;
-  /// Batches smaller than this stay on the calling thread even with a pool.
-  std::size_t min_parallel = 16;
-  /// Signature strategy override; nullptr uses the scheme's own batch
-  /// algorithm on the calling thread (crypto::SharedBatchVerifier).
-  const crypto::BatchVerifier* verifier = nullptr;
-  /// When set, per-stage pass/fail counters are registered as
-  /// "validate.stage.<name>.pass|fail" and batch admission counters update
-  /// alongside. Counting happens on the calling thread only.
+  /// When set, per-check pass/fail counters are registered as
+  /// "validate.stage.<structural|signature|state>.pass|fail" and batch
+  /// validation updates them. Counting happens on the calling thread only.
   obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Checks (ii): wire-size cap and gas floor, from cached sizes.
-class StructuralStage final : public ValidationStage {
- public:
-  StructuralStage(const ValidationConfig& config, ThreadPool* pool,
-                  std::size_t min_parallel)
-      : config_(&config), pool_(pool), min_parallel_(min_parallel) {}
-  const char* name() const override { return "structural"; }
-  void run(ValidationBatch& batch) const override;
-
- private:
-  const ValidationConfig* config_;
-  ThreadPool* pool_;
-  std::size_t min_parallel_;
-};
-
-/// Check (i): every surviving item's signature, verified as one batch over
-/// the cached signing digests.
-class SignatureStage final : public ValidationStage {
- public:
-  SignatureStage(const crypto::SignatureScheme& scheme,
-                 const crypto::BatchVerifier& verifier)
-      : scheme_(&scheme), verifier_(&verifier) {}
-  const char* name() const override { return "signature"; }
-  void run(ValidationBatch& batch) const override;
-
- private:
-  const crypto::SignatureScheme* scheme_;
-  const crypto::BatchVerifier* verifier_;
-};
-
-/// Checks (iii)-(vi): nonce window, balance, static min-gas gate. Sequential
-/// — state reads are cheap and the StateView interface makes no concurrency
-/// promises.
-class StateStage final : public ValidationStage {
- public:
-  explicit StateStage(const ValidationConfig& config) : config_(&config) {}
-  const char* name() const override { return "state"; }
-  void run(ValidationBatch& batch) const override;
-
- private:
-  const ValidationConfig* config_;
 };
 
 class ValidationPipeline {
@@ -122,35 +52,26 @@ class ValidationPipeline {
   std::vector<Status> validate(std::span<const TxPtr> txs,
                                const state::StateView& db) const;
 
-  /// Single-transaction fast path over the cached fields — the monolith's
-  /// exact check order and error strings without re-encoding. This is what
-  /// per-event callers (validator nodes inside the sim) use, keeping their
-  /// per-transaction trace cadence bit-identical.
+  /// Single-transaction path over the cached fields, with no allocation on
+  /// acceptance. This is what per-event callers (validator nodes inside the
+  /// sim) use, keeping their per-transaction trace cadence bit-identical.
   Status validate_one(const CachedTx& tx, const state::StateView& db) const;
 
   const ValidationConfig& config() const { return config_; }
-  std::span<const std::unique_ptr<ValidationStage>> stages() const {
-    return stages_;
-  }
 
  private:
-  const crypto::SignatureScheme* scheme_;
-  ValidationConfig config_;
-  crypto::SharedBatchVerifier default_verifier_;
-  std::vector<std::unique_ptr<ValidationStage>> stages_;
-  struct StageCounters {
+  struct CheckCounters {
     obs::Counter* pass = nullptr;
     obs::Counter* fail = nullptr;
   };
-  std::vector<StageCounters> counters_;  // parallel to stages_; empty if no
-                                         // metrics registry was supplied
-};
+  void count(const CheckCounters& counters, std::size_t passed,
+             std::size_t failed) const;
 
-/// eager_validate over the cached fields of a CachedTx: identical check
-/// order and error strings, no re-encode (size), no re-hash (signing
-/// digest), no sender re-derivation.
-Status eager_validate_cached(const CachedTx& tx, const state::StateView& db,
-                             const crypto::SignatureScheme& scheme,
-                             const ValidationConfig& config);
+  const crypto::SignatureScheme* scheme_;
+  ValidationConfig config_;
+  ThreadPool* pool_;
+  // structural, signature, state; null counters without a metrics registry.
+  std::array<CheckCounters, 3> counters_{};
+};
 
 }  // namespace srbb::txn

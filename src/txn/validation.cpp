@@ -11,14 +11,13 @@ std::uint64_t intrinsic_gas(const Transaction& tx) {
   return gas;
 }
 
-namespace {
-
-// Maximum wei the transaction can cost: gas budget plus transferred value.
-U256 max_cost(const Transaction& tx) {
-  return tx.gas_price * U256{tx.gas_limit} + tx.value;
+std::optional<U256> max_cost(const Transaction& tx) {
+  const U256::Wide gas = tx.gas_price.full_mul(U256{tx.gas_limit});
+  if (!gas.hi.is_zero()) return std::nullopt;
+  const U256 total = gas.lo + tx.value;
+  if (total < gas.lo) return std::nullopt;  // the addition carried out
+  return total;
 }
-
-}  // namespace
 
 Status eager_validate(const Transaction& tx, const state::StateView& db,
                       const crypto::SignatureScheme& scheme,
@@ -45,7 +44,8 @@ Status eager_validate(const Transaction& tx, const state::StateView& db,
     return Status::error("eager: nonce too far in the future");
   }
   // (iv) + (v) the account can afford worst-case gas plus the value moved.
-  if (db.balance(sender) < max_cost(tx)) {
+  const std::optional<U256> cost = max_cost(tx);
+  if (!cost || db.balance(sender) < *cost) {
     return Status::error("eager: insufficient balance for gas + value");
   }
   // (vi) static min-gas gate: every successful path through the callee costs
@@ -78,7 +78,8 @@ Status lazy_validate(const Transaction& tx, const state::StateView& db) {
   if (tx.gas_limit < intrinsic_gas(tx)) {
     return Status::error("lazy: gas limit below intrinsic cost");
   }
-  if (db.balance(sender) < max_cost(tx)) {
+  const std::optional<U256> cost = max_cost(tx);
+  if (!cost || db.balance(sender) < *cost) {
     return Status::error("lazy: insufficient balance for gas + value");
   }
   return Status::ok();

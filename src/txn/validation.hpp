@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/status.hpp"
 #include "crypto/signature.hpp"
@@ -41,6 +42,11 @@ Status eager_validate(const Transaction& tx, const state::StateView& db,
 /// Cheap pre-execution check: (iii) nonce is next, (iv) gas covered,
 /// (v) value covered. No signature verification.
 Status lazy_validate(const Transaction& tx, const state::StateView& db);
+
+/// Worst-case wei the transaction can cost: gas_price * gas_limit + value.
+/// nullopt when that exceeds 2^256 - 1; every caller treats such a
+/// transaction as unaffordable, so no fee product downstream can wrap.
+std::optional<U256> max_cost(const Transaction& tx);
 
 /// 21000 + calldata pricing + creation surcharge; transactions whose gas
 /// limit cannot cover this are invalid.

@@ -2,7 +2,9 @@
 // combined equation with deterministic bisection must return results
 // positionally identical to batch_verify_sequential on every composition —
 // single bad items anywhere in the batch, all-bad batches, malleable and
-// non-canonical encodings — and every BatchVerifier strategy must agree.
+// non-canonical encodings — and verify_batch must agree with it with no
+// pool and with 1- and 4-worker pools, on both sides of its chunk size and
+// parallel threshold.
 #include "crypto/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -37,25 +39,18 @@ std::vector<bool> sequential(const Batch& batch) {
   return batch_verify_sequential(scheme(), batch.items);
 }
 
-/// Every strategy — including the shared multi-scalar one with its
-/// bisection fallback — must agree with the sequential reference bit for
-/// bit.
+/// The scheme's own batch algorithm and verify_batch — without a pool and
+/// with 1- and 4-worker pools — must agree with the sequential reference
+/// bit for bit.
 void expect_all_strategies_match(const Batch& batch,
                                  const std::vector<bool>& want) {
   EXPECT_EQ(sequential(batch), want);
   EXPECT_EQ(scheme().verify_batch(batch.items), want);
-  ThreadPool pool(4);
-  const SequentialBatchVerifier seq;
-  const ThreadedBatchVerifier threaded(pool, /*min_parallel=*/0);
-  const SharedBatchVerifier shared;
-  const ThreadedSharedBatchVerifier threaded_shared(pool, /*chunk_size=*/3,
-                                                    /*min_parallel=*/0);
-  const BatchVerifier* verifiers[] = {&seq, &threaded, &shared,
-                                      &threaded_shared};
-  for (const BatchVerifier* verifier : verifiers) {
-    EXPECT_EQ(verifier->verify(scheme(), batch.items), want)
-        << verifier->name();
-  }
+  EXPECT_EQ(verify_batch(scheme(), batch.items), want) << "no pool";
+  ThreadPool one(1);
+  EXPECT_EQ(verify_batch(scheme(), batch.items, &one), want) << "1 worker";
+  ThreadPool four(4);
+  EXPECT_EQ(verify_batch(scheme(), batch.items, &four), want) << "4 workers";
 }
 
 Batch good_batch(std::size_t n) {
@@ -173,6 +168,26 @@ TEST(BatchVerifyAdversarial, LargeMixedBatch) {
     want[i] = false;
   }
   expect_all_strategies_match(batch, want);
+}
+
+TEST(BatchVerifyAdversarial, SizesAroundChunkAndParallelThreshold) {
+  // 15/16/17 straddle kVerifyMinParallel, 64/65 and 129 the chunk size, so
+  // single-chunk, two-chunk and three-chunk pooled runs are all covered.
+  static_assert(kVerifyMinParallel == 16 && kVerifyChunkSize == 64);
+  for (const std::size_t n : {1, 15, 16, 17, 64, 65, 129}) {
+    Batch batch = good_batch(n);
+    std::vector<bool> want(n, true);
+    // Bad items at both ends and every 13th position, so bad items land in
+    // every chunk and in chunk tails.
+    for (std::size_t i = 0; i < n; i += 13) {
+      batch.items[i].signature[7] ^= 1;
+      want[i] = false;
+    }
+    batch.items[n - 1].public_key[2] ^= 1;
+    want[n - 1] = false;
+    SCOPED_TRACE(n);
+    expect_all_strategies_match(batch, want);
+  }
 }
 
 TEST(BatchVerifyAdversarial, FastSimSchemeBatchesToo) {

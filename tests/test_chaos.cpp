@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "diablo/runner.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault.hpp"
 #include "srbb/validator.hpp"
@@ -472,6 +473,35 @@ TEST(ChaosCrashRecovery, CatchesUpAcrossSeedsReproducibly) {
     const Hash32 second = crash_recovery_run(seed, nullptr);
     ASSERT_EQ(first, second) << "run is not a pure function of the seed";
   }
+}
+
+// A client whose validator crashes before acknowledging resends after a
+// timeout longer than the commit latency. By then the other validators have
+// committed the crashed validator's last proposal, so the resend reaches a
+// validator that already committed the transaction: it must answer with an
+// ack instead of dropping the resend, or the client never learns of the
+// commit.
+TEST(ChaosCrashRecovery, ResendOfCommittedTransactionIsAcked) {
+  diablo::RunConfig config;
+  config.validators = 4;
+  config.clients = 4;
+  config.latency = sim::LatencyModel::uniform(2, millis(100));
+  config.workload = diablo::WorkloadSpec::constant("resend-ack", 60, 8);
+  config.drain = seconds(30);
+  config.seed = 1;
+  config.replicated_execution = true;  // the crash wipes a private replica
+  config.client_resend_timeout = seconds(3);
+  sim::CrashSpec crash;
+  crash.node = 3;
+  crash.at = seconds(3);
+  crash.restart_at = seconds(7);
+  config.faults.seed = 1;
+  config.faults.crashes.push_back(crash);
+  const diablo::RunResult result = diablo::run_experiment(config);
+  EXPECT_EQ(result.validator_crashes, 1u);
+  EXPECT_EQ(result.validator_restarts, 1u);
+  EXPECT_EQ(result.sent, 480u);
+  EXPECT_EQ(result.committed, result.sent);
 }
 
 // Randomized plans at the ISSUE's fault budget (drop <= 20%, one crash):

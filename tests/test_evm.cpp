@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "evm/asm.hpp"
@@ -69,6 +70,10 @@ struct BinOpCase {
   std::uint64_t b;
   std::uint64_t expected;  // op(b, a) in EVM order: top is first operand
 };
+
+// Prints the mnemonic so the listed test names do not carry the address of
+// `op`, which moves with every load of the binary.
+void PrintTo(const BinOpCase& c, std::ostream* os) { *os << c.op; }
 
 class EvmBinOp : public ::testing::TestWithParam<BinOpCase> {};
 

@@ -221,5 +221,37 @@ TEST(RpmPenalty, SecondSlashOfSameOffenseIgnored) {
   EXPECT_EQ(f.rpm.slash_events().size(), 1u);
 }
 
+TEST(RpmPenalty, SlashedValidatorStaysExcluded) {
+  Fixture f;
+  std::vector<Hash32> leaves;
+  const BlockSummary first = f.summary(3, 3, U256{0}, &leaves);
+  const crypto::MerkleProof proof = crypto::merkle_prove(leaves, 1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    f.rpm.report(f.addr(i), first, 5, leaves[1], proof);
+  }
+  ASSERT_TRUE(f.rpm.is_excluded(f.addr(3)));
+  ASSERT_EQ(f.rpm.deposit_of(f.addr(3)), U256::zero());
+  const U256 others_before = f.rpm.deposit_of(f.addr(0));
+
+  // A later offense by the excluded proposer, fully reported, neither
+  // slashes again nor moves any deposit: there is nothing left to take.
+  std::vector<Hash32> later_leaves;
+  const BlockSummary later = f.summary(3, 2, U256{0}, &later_leaves);
+  const crypto::MerkleProof later_proof = crypto::merkle_prove(later_leaves, 0);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(
+        f.rpm.report(f.addr(i), later, 9, later_leaves[0], later_proof)
+            .has_value());
+  }
+  EXPECT_TRUE(f.rpm.is_excluded(f.addr(3)));
+  EXPECT_EQ(f.rpm.deposit_of(f.addr(3)), U256::zero());
+  EXPECT_EQ(f.rpm.deposit_of(f.addr(0)), others_before);
+  EXPECT_EQ(f.rpm.slash_events().size(), 1u);
+  // The other validators were never excluded along with it.
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(f.rpm.is_excluded(f.addr(i)));
+  }
+}
+
 }  // namespace
 }  // namespace srbb::rpm

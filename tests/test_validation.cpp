@@ -6,6 +6,7 @@
 
 #include "evm/contracts.hpp"
 #include "txn/executor.hpp"
+#include "txn/pipeline.hpp"
 
 namespace srbb::txn {
 namespace {
@@ -162,6 +163,66 @@ TEST(EagerValidation, BalanceMustCoverGasPlusValueExactly) {
   params.value = U256{501};
   const Transaction over = make_signed(params, tight, scheme());
   EXPECT_FALSE(eager_validate(over, w.db, scheme(), w.vcfg).is_ok());
+}
+
+// A fee that exceeds 2^256 - 1 must be unaffordable everywhere: eager
+// validation (monolith, validate_one, batch validate), lazy validation, and
+// execution, which must leave the sender's balance untouched.
+void expect_overflow_rejected(World& w, const crypto::Identity& sender,
+                              const TxParams& params) {
+  const Transaction tx = make_signed(params, sender, scheme());
+  const TxPtr cached = make_tx_ptr(tx);
+  const U256 balance_before = w.db.balance(sender.address());
+  EXPECT_FALSE(max_cost(tx).has_value());
+  const std::string eager_msg = "eager: insufficient balance for gas + value";
+  EXPECT_EQ(eager_validate(tx, w.db, scheme(), w.vcfg).message(), eager_msg);
+  const ValidationPipeline pipeline(scheme(), w.vcfg);
+  EXPECT_EQ(pipeline.validate_one(*cached, w.db).message(), eager_msg);
+  const std::vector<TxPtr> batch = {cached};
+  EXPECT_EQ(pipeline.validate(batch, w.db).at(0).message(), eager_msg);
+  EXPECT_EQ(lazy_validate(tx, w.db).message(),
+            "lazy: insufficient balance for gas + value");
+  ExecutionConfig cfg;
+  const auto receipt = apply_transaction(tx, w.db, w.block, cfg);
+  EXPECT_FALSE(receipt.is_ok());
+  EXPECT_EQ(w.db.balance(sender.address()), balance_before);
+  EXPECT_EQ(w.db.nonce(sender.address()), 0u);
+}
+
+TEST(FeeOverflow, GasPriceTimesGasLimitWrapsToZero) {
+  World w;
+  // 2^240 * 65536 = 2^256, which wraps to a zero fee modulo 2^256.
+  const crypto::Identity fresh = scheme().make_identity(4242);
+  TxParams params;
+  params.to = w.bob.address();
+  params.gas_limit = 65'536;
+  params.gas_price = U256::one() << 240;
+  expect_overflow_rejected(w, fresh, params);
+  EXPECT_EQ(w.db.balance(fresh.address()), U256::zero());
+}
+
+TEST(FeeOverflow, ValuePlusGasWraps) {
+  World w;
+  // 1 * gas_limit + (2^256 - 1) wraps to gas_limit - 1.
+  TxParams params;
+  params.to = w.bob.address();
+  params.gas_limit = 30'000;
+  params.gas_price = U256{1};
+  params.value = U256::max();
+  const crypto::Identity fresh = scheme().make_identity(4243);
+  expect_overflow_rejected(w, fresh, params);
+  EXPECT_EQ(w.db.balance(fresh.address()), U256::zero());
+  // A funded sender could afford the wrapped cost of 29 999 wei.
+  expect_overflow_rejected(w, w.alice, params);
+  EXPECT_EQ(w.db.balance(w.alice.address()), U256{10'000'000});
+}
+
+TEST(FeeOverflow, LargestRepresentableCostDoesNotOverflow) {
+  World w;
+  Transaction tx = w.transfer(w.alice, w.bob.address(), 0, 0);
+  tx.value = U256::max() - U256{30'000};
+  ASSERT_TRUE(max_cost(tx).has_value());
+  EXPECT_EQ(*max_cost(tx), U256::max());
 }
 
 TEST(IntrinsicGas, CountsDataBytes) {

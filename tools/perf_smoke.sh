@@ -5,7 +5,7 @@
 #
 #   1. multi-scalar batch ed25519 (batch 64) beats one-at-a-time verify
 #      per item;
-#   2. the staged validation pipeline (batch 64) beats the monolithic
+#   2. batch validation through the pipeline (batch 64) beats the monolithic
 #      eager_validate loop;
 #   3. zero-copy RLP parse beats the copying decoder on a block-shaped frame;
 #   4. analysis-hinted scheduling aborts strictly fewer speculations than

@@ -5,7 +5,7 @@
 #               Sanitizer, with SRBB_PARANOID invariant sweeps compiled in —
 #               memory errors and UB anywhere in the tier-1 surface.
 #   tsan        the concurrency-sensitive subset (parallel executor, oracle
-#               parallel path, thread pool, bounded queue, validation
+#               parallel path, thread pool, validation
 #               pipeline, batch signature verify, state-backend concurrent
 #               fault-in) under ThreadSanitizer, via tools/tsan_check.sh.
 #               TSan and ASan cannot share a process, hence the separate leg.

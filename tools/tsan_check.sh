@@ -12,9 +12,9 @@ build_dir="${1:-$repo_root/build-tsan}"
 cmake -B "$build_dir" -S "$repo_root" -DSRBB_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
-      --target test_parallel_executor test_thread_pool test_bounded_queue \
+      --target test_parallel_executor test_thread_pool \
                test_oracle test_chaos test_validation_pipeline \
                test_batch_verify test_rwset test_reliability \
                test_state_backend test_interproc
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|BoundedQueue|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|DeferredRoot|Interproc'
+      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|DeferredRoot|Interproc'
