@@ -1,11 +1,12 @@
-// Microbenchmarks for the wire codec: the copying RLP decoder against the
-// zero-copy view parser, and the transaction / block / superblock decode
-// paths built on them (docs/PERF.md).
+// Microbenchmarks for the wire codec: the copying reference RLP decoder
+// (tests/support/) against the zero-copy view parser, and the transaction /
+// block / superblock decode paths built on them (docs/PERF.md).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "codec/rlp.hpp"
+#include "support/copying_decode.hpp"
 #include "txn/block.hpp"
 #include "txn/transaction.hpp"
 
@@ -54,7 +55,7 @@ BENCHMARK(BM_RlpDecodeView);
 void BM_TxDecodeCopying(benchmark::State& state) {
   const Bytes wire = make_tx(7, static_cast<std::size_t>(state.range(0))).encode();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(txn::Transaction::decode_copying(wire));
+    benchmark::DoNotOptimize(txn::decode_tx_copying(wire));
   }
   state.SetBytesProcessed(state.iterations() * wire.size());
 }

@@ -4,17 +4,14 @@
 //       incremental node-cached MPT root after a small write burst vs a
 //       from-scratch rebuild, swept over 10^4..10^6 accounts. The ratio is
 //       gated by tools/perf_smoke.sh (incremental must win by >=10x at 10^5).
-//   BM_HotRead_{Resident,Backend}
-//       flat-snapshot hot-read latency: fully resident vs backend mode with
-//       a bounded resident cache (hits stay O(1), misses fault through the
-//       backend).
+//   BM_HotRead_Resident
+//       hot-read latency of the flat account map.
 //   BM_CommitPath
 //       per-block commit + root publication with deferred roots off/on —
 //       the flat-per-tx-latency evidence for the DIABLO-shaped run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 
 #include "common/rng.hpp"
 #include "state/statedb.hpp"
@@ -105,33 +102,6 @@ void BM_HotRead_Resident(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HotRead_Resident)->Arg(100'000);
-
-void BM_HotRead_Backend(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  const auto capacity = static_cast<std::size_t>(state.range(1));
-  StateConfig cfg;
-  cfg.snapshot_capacity = capacity;
-  StateDB db{cfg, std::make_shared<MemoryBackend>()};
-  populate(db, n);
-  // Touch a hot subset so it is resident; sized to fit the cache.
-  const std::uint64_t hot = capacity / 2;
-  for (std::uint64_t i = 0; i < hot; ++i) db.prefetch(addr_of(i));
-
-  Rng rng{7};
-  for (auto _ : state) {
-    // 90% hits in the resident window, 10% faulting cold reads.
-    const bool cold = rng.next_below(10) == 0;
-    const std::uint64_t idx =
-        cold ? hot + rng.next_below(n - hot) : rng.next_below(hot);
-    benchmark::DoNotOptimize(db.balance(addr_of(idx)));
-  }
-  const auto stats = db.backing_stats();
-  state.counters["faults"] =
-      benchmark::Counter(static_cast<double>(stats.faults));
-  state.counters["hits"] = benchmark::Counter(static_cast<double>(stats.hits));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HotRead_Backend)->Args({100'000, 8'192});
 
 void BM_CommitPath(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

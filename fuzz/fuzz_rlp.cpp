@@ -7,6 +7,7 @@
 
 #include "codec/rlp.hpp"
 #include "harness.hpp"
+#include "support/copying_decode.hpp"
 
 using namespace srbb;
 

@@ -1,10 +1,10 @@
 // State-backend harness (docs/STATE.md), two modes keyed on the first byte:
 //
 //  Mode A (even): the remaining bytes drive an op stream applied identically
-//  to a seed-configuration StateDB and a backend-mode StateDB with a tiny
-//  resident cache (constant fault/evict churn). Properties: bit-identical
-//  state_root() at every commit, and the incremental MPT root equals the
-//  from-scratch rebuild at the end.
+//  to a StateDB without a backend and one writing through to a memory
+//  backend with tiny trie caches. Properties: bit-identical state_root() at
+//  every commit, a StateDB reopened over the backend reproduces it, and the
+//  incremental MPT root equals the from-scratch rebuild at the end.
 //
 //  Mode B (odd): the remaining bytes are written verbatim to disk and opened
 //  as a LogBackend. Properties: recovery is total (no crash on arbitrary
@@ -56,10 +56,10 @@ void check_roots(const StateDB& a, const StateDB& b) {
 void run_op_differential(ByteStream in) {
   StateDB reference;
   StateConfig cfg;
-  cfg.snapshot_capacity = 2;
   cfg.storage_trie_cache = 1;
   cfg.trie_node_cache_limit = 32;
-  StateDB backed{cfg, std::make_shared<MemoryBackend>()};
+  const auto backend = std::make_shared<MemoryBackend>();
+  StateDB backed{cfg, backend};
   StateDB* dbs[] = {&reference, &backed};
 
   std::vector<StateView::Snapshot> snaps_ref;
@@ -108,6 +108,7 @@ void run_op_differential(ByteStream in) {
         snaps_backed.clear();
         for (StateDB* db : dbs) db->commit();
         check_roots(reference, backed);
+        check_roots(reference, StateDB{StateConfig{}, backend});
         break;
     }
   }

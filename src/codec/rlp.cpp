@@ -79,22 +79,6 @@ ListBuilder& ListBuilder::add_raw(Bytes encoded) {
 
 Bytes ListBuilder::build() const { return encode_list(items_); }
 
-Result<std::uint64_t> Item::as_u64() const {
-  auto wide = as_u256();
-  if (!wide) return wide.status();
-  if (!wide.value().fits_u64()) return Status::error("rlp: integer exceeds 64 bits");
-  return wide.value().as_u64();
-}
-
-Result<U256> Item::as_u256() const {
-  if (is_list) return Status::error("rlp: expected integer, found list");
-  if (payload.size() > 32) return Status::error("rlp: integer exceeds 256 bits");
-  if (!payload.empty() && payload[0] == 0) {
-    return Status::error("rlp: non-canonical integer (leading zero)");
-  }
-  return U256::from_be(payload);
-}
-
 namespace {
 
 // Nesting deeper than this is rejected. The recursive decoder consumes stack
@@ -118,64 +102,10 @@ Result<std::size_t> read_long_length(BytesView& data, std::size_t len_of_len) {
   return length;
 }
 
-Result<Item> decode_prefix_at(BytesView& data, std::size_t depth) {
-  if (depth > kMaxDepth) return Status::error("rlp: nesting too deep");
-  if (data.empty()) return Status::error("rlp: empty input");
-  const std::uint8_t prefix = data[0];
-  data = data.subspan(1);
-
-  Item out;
-  std::size_t length = 0;
-
-  if (prefix < 0x80) {
-    // Single byte encodes itself.
-    out.payload.push_back(prefix);
-    return out;
-  }
-  if (prefix <= 0xb7) {  // short string
-    length = prefix - 0x80;
-    if (data.size() < length) return Status::error("rlp: truncated string");
-    if (length == 1 && data[0] < 0x80) {
-      return Status::error("rlp: non-canonical single byte");
-    }
-    out.payload.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(length));
-    data = data.subspan(length);
-    return out;
-  }
-  if (prefix <= 0xbf) {  // long string
-    auto len = read_long_length(data, prefix - 0xb7);
-    if (!len) return len.status();
-    length = len.value();
-    if (data.size() < length) return Status::error("rlp: truncated string");
-    out.payload.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(length));
-    data = data.subspan(length);
-    return out;
-  }
-  // Lists.
-  out.is_list = true;
-  if (prefix <= 0xf7) {
-    length = prefix - 0xc0;
-  } else {
-    auto len = read_long_length(data, prefix - 0xf7);
-    if (!len) return len.status();
-    length = len.value();
-  }
-  if (data.size() < length) return Status::error("rlp: truncated list");
-  BytesView body = data.subspan(0, length);
-  data = data.subspan(length);
-  while (!body.empty()) {
-    auto child = decode_prefix_at(body, depth + 1);
-    if (!child) return child.status();
-    out.items.push_back(std::move(child).take());
-  }
-  return out;
-}
-
-// Zero-copy twin of decode_prefix_at: identical control flow and error
-// strings, but payloads become views into the wire buffer and the tree is
-// appended to the flat node arena in DFS pre-order. Kept side by side with
-// the copying decoder above so a diff of the two functions shows only the
-// copy-vs-view difference (fuzz_rlp_view enforces behavioural equality).
+// Payloads become views into the wire buffer and the tree is appended to the
+// flat node arena in DFS pre-order. The copying reference decoder in
+// tests/support/copying_decode.cpp mirrors this control flow and its error
+// strings (fuzz_rlp_view enforces behavioural equality).
 Status view_parse_at(BytesView& data, std::vector<ViewNode>& nodes,
                      std::size_t depth) {
   if (depth > kMaxDepth) return Status::error("rlp: nesting too deep");
@@ -241,17 +171,6 @@ Status view_parse_at(BytesView& data, std::vector<ViewNode>& nodes,
 
 }  // namespace
 
-Result<Item> decode_prefix(BytesView& data) {
-  return decode_prefix_at(data, 0);
-}
-
-Result<Item> decode(BytesView data) {
-  auto item = decode_prefix(data);
-  if (!item) return item.status();
-  if (!data.empty()) return Status::error("rlp: trailing bytes");
-  return item;
-}
-
 bool ItemView::is_list() const { return doc_->nodes_[index_].is_list; }
 
 BytesView ItemView::payload() const {
@@ -297,23 +216,6 @@ Result<U256> ItemView::as_u256() const {
     return Status::error("rlp: non-canonical integer (leading zero)");
   }
   return U256::from_be(n.payload);
-}
-
-Item ItemView::materialize() const {
-  const ViewNode& n = doc_->nodes_[index_];
-  Item out;
-  out.is_list = n.is_list;
-  if (!n.is_list) {
-    out.payload.assign(n.payload.begin(), n.payload.end());
-    return out;
-  }
-  out.items.reserve(n.child_count);
-  ItemView c = ItemView{doc_, index_ + 1};
-  for (std::uint32_t i = 0; i < n.child_count; ++i) {
-    out.items.push_back(c.materialize());
-    c = c.next_sibling();
-  }
-  return out;
 }
 
 Result<ItemView> decode_view(BytesView data, ViewDoc& doc) {

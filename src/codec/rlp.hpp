@@ -1,8 +1,8 @@
 // Recursive Length Prefix (RLP) serialization, as specified in the Ethereum
 // yellow paper. Encoding is canonical; decoding rejects every non-canonical
 // form (long form for short payloads, leading zeros in lengths, trailing
-// bytes), so `decode(encode(x)) == x` and malformed wire data is surfaced as
-// an error rather than undefined behaviour.
+// bytes), so decoding an encoding gives back the original and malformed
+// wire data is surfaced as an error rather than undefined behaviour.
 #pragma once
 
 #include <cstdint>
@@ -36,34 +36,14 @@ class ListBuilder {
   std::vector<Bytes> items_;
 };
 
-// --- Decoding ---------------------------------------------------------------
-
-struct Item {
-  bool is_list = false;
-  Bytes payload;            // string contents when !is_list
-  std::vector<Item> items;  // children when is_list
-
-  /// Integer view of a string item; error when it is a list, has a leading
-  /// zero byte, or exceeds the requested width.
-  Result<std::uint64_t> as_u64() const;
-  Result<U256> as_u256() const;
-};
-
-/// Decode a complete RLP document; trailing bytes are an error. Nesting
-/// beyond 512 levels is rejected ("rlp: nesting too deep") so hostile wire
-/// data cannot exhaust the decoder's stack.
-Result<Item> decode(BytesView data);
-
-/// Decode one item from the front of `data`, advancing it.
-Result<Item> decode_prefix(BytesView& data);
-
-// --- Zero-copy decoding -----------------------------------------------------
+// --- Decoding (zero-copy) ---------------------------------------------------
 //
-// decode_view() parses the same grammar with the same canonicality rules,
-// traversal order and error strings as decode() (fuzz_rlp_view checks the
-// two differentially), but instead of copying payloads it records views into
-// the wire buffer, with the tree structure flattened into a ViewDoc arena in
-// DFS pre-order.
+// decode_view() records views into the wire buffer instead of copying
+// payloads, with the tree structure flattened into a ViewDoc arena in DFS
+// pre-order. Nesting beyond 512 levels is rejected ("rlp: nesting too deep")
+// so hostile wire data cannot exhaust the parser's stack. The copying
+// decoder in tests/support/ is its reference (fuzz_rlp_view checks the two
+// differentially: same grammar, canonicality rules and error strings).
 //
 // Lifetime rules (docs/PERF.md "Arena lifetime"):
 //  - every ItemView and every BytesView obtained from one aliases BOTH the
@@ -106,12 +86,10 @@ class ItemView {
   /// sibling range.
   ItemView next_sibling() const;
 
-  /// Same semantics and error strings as Item::as_u64/as_u256.
+  /// Integer view of a string node; error when it is a list, has a leading
+  /// zero byte, or exceeds the requested width.
   Result<std::uint64_t> as_u64() const;
   Result<U256> as_u256() const;
-
-  /// Deep copy into an owning Item (differential oracle / cold paths).
-  Item materialize() const;
 
  private:
   friend class ViewDoc;
@@ -140,9 +118,8 @@ class ViewDoc {
   std::vector<ViewNode> nodes_;
 };
 
-/// Zero-copy analogue of decode(): same grammar, same canonicality rules,
-/// same error strings, no payload copies. On success the returned root view
-/// and its whole subtree live in `doc`.
+/// Decode a complete RLP document; trailing bytes are an error. On success
+/// the returned root view and its whole subtree live in `doc`.
 Result<ItemView> decode_view(BytesView data, ViewDoc& doc);
 
 }  // namespace srbb::rlp

@@ -66,10 +66,6 @@ void ValidatorNode::register_obs() {
     ctr_fallback_txs_ = &config_.metrics->counter("exec.fallback_txs");
     g_roots_computed_ = &config_.metrics->gauge("state.roots_computed");
     g_roots_deferred_ = &config_.metrics->gauge("state.roots_deferred");
-    g_state_hits_ = &config_.metrics->gauge("state.snapshot_hits");
-    g_state_faults_ = &config_.metrics->gauge("state.snapshot_faults");
-    g_state_evictions_ = &config_.metrics->gauge("state.snapshot_evictions");
-    g_state_resident_ = &config_.metrics->gauge("state.resident_accounts");
   }
 }
 
@@ -78,12 +74,6 @@ void ValidatorNode::publish_state_obs() {
   const ExecutionOracle::RootStats& roots = oracle_->root_stats();
   g_roots_computed_->set(static_cast<std::int64_t>(roots.computed));
   g_roots_deferred_->set(static_cast<std::int64_t>(roots.deferred));
-  const state::StateDB::BackingStats backing = oracle_->db().backing_stats();
-  g_state_hits_->set(static_cast<std::int64_t>(backing.hits));
-  g_state_faults_->set(static_cast<std::int64_t>(backing.faults));
-  g_state_evictions_->set(static_cast<std::int64_t>(backing.evictions));
-  g_state_resident_->set(
-      static_cast<std::int64_t>(oracle_->db().resident_accounts()));
 }
 
 void ValidatorNode::start() {

@@ -291,15 +291,11 @@ class ValidatorNode : public sim::SimNode {
   obs::Counter* ctr_spec_runs_ = nullptr;
   obs::Counter* ctr_spec_aborts_ = nullptr;
   obs::Counter* ctr_fallback_txs_ = nullptr;
-  // State-stack levels (DESIGN.md §14): cumulative totals read back from the
-  // oracle's StateDB after each commit, published as gauges so a shared
+  // Root publication totals (DESIGN.md §14): cumulative counts read back
+  // from the oracle after each commit, published as gauges so a shared
   // oracle is sampled, not double-counted.
   obs::Gauge* g_roots_computed_ = nullptr;
   obs::Gauge* g_roots_deferred_ = nullptr;
-  obs::Gauge* g_state_hits_ = nullptr;
-  obs::Gauge* g_state_faults_ = nullptr;
-  obs::Gauge* g_state_evictions_ = nullptr;
-  obs::Gauge* g_state_resident_ = nullptr;
   void publish_state_obs();
   std::map<std::uint64_t, SimTime> round_began_at_;
   std::map<std::uint64_t, SimTime> decided_at_;

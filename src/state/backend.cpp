@@ -53,44 +53,48 @@ Bytes encode_account_record(const Account& account) {
 }
 
 std::optional<Account> decode_account_record(BytesView record) {
-  const Result<rlp::Item> doc = rlp::decode(record);
-  if (!doc.is_ok()) return std::nullopt;
-  const rlp::Item& top = doc.value();
-  if (!top.is_list || top.items.size() != 4) return std::nullopt;
+  rlp::ViewDoc doc;
+  const Result<rlp::ItemView> parsed = rlp::decode_view(record, doc);
+  if (!parsed.is_ok()) return std::nullopt;
+  const rlp::ItemView top = parsed.value();
+  if (!top.is_list() || top.size() != 4) return std::nullopt;
+  const rlp::ItemView nonce_item = top.child(0);
+  const rlp::ItemView balance_item = nonce_item.next_sibling();
+  const rlp::ItemView code_item = balance_item.next_sibling();
+  const rlp::ItemView storage = code_item.next_sibling();
 
   Account account;
-  const Result<std::uint64_t> nonce = top.items[0].as_u64();
+  const Result<std::uint64_t> nonce = nonce_item.as_u64();
   if (!nonce.is_ok()) return std::nullopt;
   account.nonce = nonce.value();
-  const Result<U256> balance = top.items[1].as_u256();
+  const Result<U256> balance = balance_item.as_u256();
   if (!balance.is_ok()) return std::nullopt;
   account.balance = balance.value();
-  if (top.items[2].is_list) return std::nullopt;
-  account.code = top.items[2].payload;
+  if (code_item.is_list()) return std::nullopt;
+  account.code.assign(code_item.payload().begin(), code_item.payload().end());
   account.code_keccak =
       account.code.empty() ? Hash32{} : crypto::Keccak256::hash(account.code);
 
-  const rlp::Item& storage = top.items[3];
-  if (!storage.is_list) return std::nullopt;
+  if (!storage.is_list()) return std::nullopt;
   Hash32 prev_slot;
-  bool first = true;
-  for (const rlp::Item& entry : storage.items) {
-    if (!entry.is_list || entry.items.size() != 2) return std::nullopt;
-    const rlp::Item& slot_item = entry.items[0];
-    if (slot_item.is_list || slot_item.payload.size() != Hash32::size()) {
+  rlp::ItemView entry = storage.child(0);
+  for (std::size_t i = 0; i < storage.size(); ++i) {
+    if (!entry.is_list() || entry.size() != 2) return std::nullopt;
+    const rlp::ItemView slot_item = entry.child(0);
+    if (slot_item.is_list() || slot_item.payload().size() != Hash32::size()) {
       return std::nullopt;
     }
-    const Hash32 slot{BytesView{slot_item.payload}};
+    const Hash32 slot{slot_item.payload()};
     // Canonical records are strictly slot-ascending; reject duplicates and
     // reordered slots so record bytes stay a bijection with accounts.
-    if (!first && !(prev_slot < slot)) return std::nullopt;
-    first = false;
+    if (i > 0 && !(prev_slot < slot)) return std::nullopt;
     prev_slot = slot;
-    const Result<U256> value = entry.items[1].as_u256();
+    const Result<U256> value = slot_item.next_sibling().as_u256();
     if (!value.is_ok()) return std::nullopt;
     // EVM zero-write semantics: a zero-valued slot never appears in the map.
     if (value.value().is_zero()) return std::nullopt;
     account.storage.emplace(slot, value.value());
+    entry = entry.next_sibling();
   }
   return account;
 }

@@ -2,16 +2,15 @@
 //
 // A StorageBackend is a flat key→value store holding one record per account
 // (key = the 20-byte address, value = the RLP account record produced by
-// encode_account_record). StateDB in backend mode keeps only a bounded flat
-// snapshot of accounts resident in memory; commits flush the dirty set
-// through this interface and evict, reads fault records back in on demand.
+// encode_account_record). It is StateDB's write-through durability log:
+// StateDB keeps every account resident, writes each changed account through
+// at commit, and reads the backend only when it is reopened over it.
 //
 // Contract:
-//  - get() is called concurrently with other get()s (parallel speculation
-//    faulting accounts in under StateDB's fault lock) but never concurrently
-//    with put()/erase()/compact() — commits are single-threaded.
-//  - keys() may return addresses in any order; callers sort. It must reflect
-//    every committed put/erase (the root computation walks it).
+//  - Single-threaded: StateDB calls it only from its constructor and from
+//    commit().
+//  - keys() may return addresses in any order. It must reflect every
+//    committed put/erase (reopen walks it).
 //  - A backend reopened from its durable medium must serve exactly the
 //    records of the last successful flush (crash-safe prefix; see
 //    LogBackend in log_backend.hpp).
@@ -36,10 +35,8 @@ class StorageBackend {
   virtual std::optional<Bytes> get(const Address& key) const = 0;
   virtual void put(const Address& key, BytesView value) = 0;
   virtual void erase(const Address& key) = 0;
-  /// Every live key, in unspecified order (callers sort).
+  /// Every live key, in unspecified order.
   virtual std::vector<Address> keys() const = 0;
-  /// Number of live records.
-  virtual std::size_t size() const = 0;
   /// Durability point: after flush() returns, a reopen must see every
   /// preceding put/erase. No-op for volatile backends.
   virtual void flush() {}
@@ -55,7 +52,6 @@ class MemoryBackend final : public StorageBackend {
   void put(const Address& key, BytesView value) override;
   void erase(const Address& key) override;
   std::vector<Address> keys() const override;
-  std::size_t size() const override { return records_.size(); }
   std::string name() const override { return "memory"; }
 
  private:

@@ -1,9 +1,9 @@
 // Tuning knobs for the authenticated state stack (docs/STATE.md). Every
-// default reproduces the seed StateDB behaviour bit-for-bit: fully resident
-// accounts, no backend, a state root computed at every commit point. The
-// knobs exist so benchmarks and large-scale runs can opt into the layered
-// stack (flat snapshot cache over a storage backend, deferred roots) without
-// changing what any default-configured replica observes.
+// default reproduces the seed StateDB behaviour bit-for-bit: a state root
+// computed at every commit point and unbounded commitment caches. The knobs
+// exist so benchmarks and large-scale runs can opt into deferred roots and
+// bounded trie caches without changing what any default-configured replica
+// observes.
 #pragma once
 
 #include <cstddef>
@@ -22,12 +22,6 @@ struct StateConfig {
   /// Interval (in superblock indices) between root recomputations when
   /// defer_root is on. Index 0 always computes.
   std::uint64_t root_interval = 8;
-
-  // --- flat snapshot layer (meaningful only with a storage backend) ---
-  /// Max resident accounts kept in the flat snapshot cache after a commit
-  /// (0 = unbounded). Dirty (uncommitted) entries are never evicted;
-  /// eviction is deterministic FIFO over clean entries.
-  std::size_t snapshot_capacity = 0;
 
   // --- incremental trie commitment ---
   /// Bound on memoized trie-node references in the account trie

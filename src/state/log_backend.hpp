@@ -46,7 +46,6 @@ class LogBackend final : public StorageBackend {
   void put(const Address& key, BytesView value) override;
   void erase(const Address& key) override;
   std::vector<Address> keys() const override;
-  std::size_t size() const override { return offsets_.size(); }
   void flush() override;
   std::string name() const override { return "log"; }
 

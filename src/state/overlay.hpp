@@ -86,9 +86,6 @@ class OverlayState final : public StateView {
   Hash32 code_hash(const Address& addr) const override;
   Hash32 code_keccak(const Address& addr) const override;
   U256 storage(const Address& addr, const Hash32& key) const override;
-  /// Forwarded to the base: faulting the record in is a cache effect, not a
-  /// state read, so it does not enter the read-set.
-  void prefetch(const Address& addr) const override { base_.prefetch(addr); }
 
   // --- Writes (buffered, journaled locally) ---
   void create_account(const Address& addr) override;

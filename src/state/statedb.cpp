@@ -1,9 +1,7 @@
 #include "state/statedb.hpp"
 
 #include <algorithm>
-#include <mutex>
 
-#include "codec/rlp.hpp"
 #include "common/invariant.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/sha256.hpp"
@@ -32,85 +30,33 @@ Hash32 StateView::code_keccak(const Address& addr) const {
 StateDB::StateDB(StateConfig config, std::shared_ptr<StorageBackend> backend)
     : config_(config), backend_(std::move(backend)) {
   SRBB_CHECK(backend_ != nullptr);
-  snapshot_.set_capacity(config_.snapshot_capacity);
-  live_count_ = backend_->size();  // reopen: backend records are the state
+  // Reopen: the backend's records are the initial world state.
+  for (const Address& addr : backend_->keys()) {
+    const std::optional<Bytes> record = backend_->get(addr);
+    SRBB_CHECK(record.has_value());
+    std::optional<Account> account = decode_account_record(*record);
+    // Backend records are this process's own flushes; a decode failure means
+    // the backend returned bytes we never wrote.
+    SRBB_CHECK(account.has_value());
+    accounts_.emplace(addr, std::move(*account));
+  }
 }
 
 // --- read path --------------------------------------------------------------
 
 const Account* StateDB::find(const Address& addr) const {
-  if (backend_ == nullptr) {
-    const auto it = accounts_.find(addr);
-    return it == accounts_.end() ? nullptr : &it->second;
-  }
-  return fault_in(addr);
-}
-
-const Account* StateDB::fault_in(const Address& addr) const {
-  {
-    std::shared_lock lock{fault_mutex_.m};
-    const auto it = accounts_.find(addr);
-    if (it != accounts_.end()) {
-      hits_.inc();
-      // Safe to return after unlock: entries are only erased at commit()
-      // (eviction/deletion), never concurrently with reads.
-      return &it->second;
-    }
-    if (deleted_.contains(addr)) {
-      misses_.inc();
-      return nullptr;
-    }
-  }
-  std::unique_lock lock{fault_mutex_.m};
-  // Double-check: another reader may have faulted it in meanwhile.
   const auto it = accounts_.find(addr);
-  if (it != accounts_.end()) {
-    hits_.inc();
-    return &it->second;
-  }
-  if (deleted_.contains(addr)) {
-    misses_.inc();
-    return nullptr;
-  }
-  const std::optional<Bytes> record = backend_->get(addr);
-  if (!record.has_value()) {
-    misses_.inc();
-    return nullptr;
-  }
-  std::optional<Account> account = decode_account_record(*record);
-  // Backend records are this process's own flushes; a decode failure means
-  // the backend returned bytes we never wrote.
-  SRBB_CHECK(account.has_value());
-  const auto inserted = accounts_.emplace(addr, std::move(*account)).first;
-  snapshot_.note_resident(addr);
-  faults_.inc();
-  return &inserted->second;
+  return it == accounts_.end() ? nullptr : &it->second;
 }
 
-const Account* StateDB::resolve(const Address& addr, Account& scratch) const {
-  const auto it = accounts_.find(addr);
-  if (it != accounts_.end()) return &it->second;
-  if (backend_ == nullptr || deleted_.contains(addr)) return nullptr;
-  const std::optional<Bytes> record = backend_->get(addr);
-  if (!record.has_value()) return nullptr;
-  std::optional<Account> account = decode_account_record(*record);
-  SRBB_CHECK(account.has_value());
-  scratch = std::move(*account);
-  return &scratch;
-}
-
-std::vector<Address> StateDB::live_addresses() const {
-  std::vector<Address> out;
-  out.reserve(account_count());
-  for (const auto& [addr, acc] : accounts_) out.push_back(addr);
-  if (backend_ != nullptr) {
-    for (const Address& addr : backend_->keys()) {
-      if (!accounts_.contains(addr) && !deleted_.contains(addr)) {
-        out.push_back(addr);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
+std::vector<StateDB::AccountRef> StateDB::sorted_accounts() const {
+  std::vector<AccountRef> out;
+  out.reserve(accounts_.size());
+  for (const auto& [addr, acc] : accounts_) out.emplace_back(addr, &acc);
+  std::sort(out.begin(), out.end(),
+            [](const AccountRef& a, const AccountRef& b) {
+              return a.first < b.first;
+            });
   return out;
 }
 
@@ -150,10 +96,6 @@ U256 StateDB::storage(const Address& addr, const Hash32& key) const {
   return it == acc->storage.end() ? U256::zero() : it->second;
 }
 
-void StateDB::prefetch(const Address& addr) const {
-  if (backend_ != nullptr) fault_in(addr);
-}
-
 // --- write path -------------------------------------------------------------
 
 void StateDB::mark_mpt_dirty(const Address& addr) const {
@@ -171,28 +113,11 @@ void StateDB::mark_mpt_full(const Address& addr) const {
 Account& StateDB::mutable_account(const Address& addr) {
   root_dirty_ = true;  // every write path funnels through here
   mark_mpt_dirty(addr);
-  if (backend_ == nullptr) {
-    auto it = accounts_.find(addr);
-    if (it == accounts_.end()) {
-      journal_.push_back(JournalEntry{.op = Op::kCreateAccount, .addr = addr});
-      it = accounts_.emplace(addr, Account{}).first;
-    }
-    return it->second;
+  auto it = accounts_.find(addr);
+  if (it == accounts_.end()) {
+    journal_.push_back(JournalEntry{.op = Op::kCreateAccount, .addr = addr});
+    it = accounts_.emplace(addr, Account{}).first;
   }
-
-  snapshot_.mark_dirty(addr);
-  // Fault the record in first: an account that lives only in the backend
-  // must not be journaled (and reset) as a fresh creation.
-  if (const Account* existing = fault_in(addr)) {
-    return const_cast<Account&>(*existing);
-  }
-  std::unique_lock lock{fault_mutex_.m};
-  journal_.push_back(JournalEntry{.op = Op::kCreateAccount,
-                                  .addr = addr,
-                                  .prev_tombstoned = deleted_.contains(addr)});
-  const auto it = accounts_.emplace(addr, Account{}).first;
-  snapshot_.note_resident(addr);
-  ++live_count_;
   return it->second;
 }
 
@@ -253,29 +178,16 @@ void StateDB::set_storage(const Address& addr, const Hash32& key,
 }
 
 void StateDB::delete_account(const Address& addr) {
-  const Account* acc = find(addr);  // faults in under a backend
+  const Account* acc = find(addr);
   if (acc == nullptr) return;
   root_dirty_ = true;
   // The account's storage identity resets: a later recreation must not
   // inherit the old materialized storage trie.
   mark_mpt_full(addr);
   JournalEntry entry{.op = Op::kDeleteAccount, .addr = addr};
-  entry.prev_account = *acc;
-  if (backend_ == nullptr) {
-    journal_.push_back(std::move(entry));
-    accounts_.erase(addr);
-    return;
-  }
-  std::unique_lock lock{fault_mutex_.m};
-  // Tombstoned-but-resident happens when a recreate over a tombstone is
-  // itself deleted; the undo must restore that exact intermediate state.
-  entry.prev_tombstoned = deleted_.contains(addr);
+  entry.prev_account = std::make_shared<const Account>(*acc);
   journal_.push_back(std::move(entry));
   accounts_.erase(addr);
-  snapshot_.note_erased(addr);   // clears the dirty flag, so re-mark below
-  snapshot_.mark_dirty(addr);    // the deletion itself must be flushed
-  deleted_.insert(addr);         // fault-in must not resurrect the record
-  --live_count_;
 }
 
 void StateDB::revert_to(Snapshot snapshot) {
@@ -298,17 +210,6 @@ void StateDB::revert_to(Snapshot snapshot) {
       case Op::kCreateAccount:
         mark_mpt_dirty(entry.addr);
         accounts_.erase(entry.addr);
-        if (backend_ != nullptr) {
-          snapshot_.note_erased(entry.addr);
-          if (entry.prev_tombstoned) {
-            // The creation resurrected a tombstoned account; undoing it
-            // reinstates the tombstone, and the pending backend erase must
-            // survive note_erased() having cleared the dirty flag.
-            deleted_.insert(entry.addr);
-            snapshot_.mark_dirty(entry.addr);
-          }
-          --live_count_;
-        }
         break;
       case Op::kBalanceChange:
         mark_mpt_dirty(entry.addr);
@@ -341,19 +242,7 @@ void StateDB::revert_to(Snapshot snapshot) {
         // The deletion undo recreates the account, so it must be absent.
         SRBB_PARANOID(!accounts_.contains(entry.addr));
         mark_mpt_full(entry.addr);
-        accounts_[entry.addr] = std::move(entry.prev_account);
-        if (backend_ != nullptr) {
-          snapshot_.note_resident(entry.addr);
-          snapshot_.mark_dirty(entry.addr);
-          // Deleting a recreated-over-tombstone account keeps the tombstone;
-          // restore whichever state the deletion actually saw.
-          if (entry.prev_tombstoned) {
-            deleted_.insert(entry.addr);
-          } else {
-            deleted_.erase(entry.addr);
-          }
-          ++live_count_;
-        }
+        accounts_[entry.addr] = *entry.prev_account;
         break;
     }
     journal_.pop_back();
@@ -362,50 +251,36 @@ void StateDB::revert_to(Snapshot snapshot) {
 
 void StateDB::commit() {
   if (backend_ != nullptr) {
-    // Flush every record that may have changed since the last commit. The
-    // set is conservative (a write that was later reverted re-puts an
-    // identical record); the order is sorted, so the backend's record
-    // stream is deterministic across replicas.
-    std::vector<Address> to_flush = snapshot_.take_dirty_sorted();
-    if (!deleted_.empty()) {
-      // Every tombstone means the backend may still hold the record; union
-      // it in so a deletion whose dirty mark was consumed by journal undo
-      // bookkeeping still flushes its erase.
-      for (const Address& addr : deleted_) to_flush.push_back(addr);
-      std::sort(to_flush.begin(), to_flush.end());
-      to_flush.erase(std::unique(to_flush.begin(), to_flush.end()),
-                     to_flush.end());
-    }
-    for (const Address& addr : to_flush) {
-      const auto it = accounts_.find(addr);
-      if (it != accounts_.end()) {
-        backend_->put(addr, encode_account_record(it->second));
+    // Write through every account the surviving journal names: reverted
+    // writes left the journal, so what remains covers every change since
+    // the last commit. Sorted, so the backend's record stream is identical
+    // across replicas.
+    std::vector<Address> touched;
+    touched.reserve(journal_.size());
+    for (const JournalEntry& entry : journal_) touched.push_back(entry.addr);
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const Address& addr : touched) {
+      if (const Account* acc = find(addr)) {
+        backend_->put(addr, encode_account_record(*acc));
       } else {
         backend_->erase(addr);
       }
     }
     backend_->flush();
-    deleted_.clear();  // flushed: the backend no longer holds these records
-    for (const Address& addr : snapshot_.plan_eviction()) {
-      accounts_.erase(addr);
-      ++evictions_;
-    }
   }
-  journal_.clear();
+  // Free the journal's storage: clear() would hold a genesis-sized journal
+  // (two entries per account) for the rest of the run.
+  journal_ = std::vector<JournalEntry>{};
 }
 
 // --- commitments ------------------------------------------------------------
 
 Hash32 StateDB::state_root() const {
   if (!root_dirty_) return root_cache_;
-  const std::vector<Address> addresses = live_addresses();
-
   crypto::Sha256 root;
-  Account scratch;
-  for (const Address& addr : addresses) {
-    const Account* resolved = resolve(addr, scratch);
-    SRBB_CHECK(resolved != nullptr);
-    const Account& acc = *resolved;
+  for (const auto& [addr, account] : sorted_accounts()) {
+    const Account& acc = *account;
     root.update(addr.view());
     std::uint8_t nonce_be[8];
     put_be64(nonce_be, acc.nonce);
@@ -434,10 +309,8 @@ Hash32 StateDB::state_root_mpt() const {
     mpt_.trie = IncrementalStateTrie{};
     mpt_.trie.configure(config_.storage_trie_cache,
                         config_.trie_node_cache_limit);
-    Account scratch;
-    for (const Address& addr : live_addresses()) {
-      mpt_.trie.update(addr, resolve(addr, scratch),
-                       DirtyInfo{.full_storage = true});
+    for (const auto& [addr, acc] : sorted_accounts()) {
+      mpt_.trie.update(addr, acc, DirtyInfo{.full_storage = true});
     }
     mpt_.synced = true;
     mpt_.dirty.clear();
@@ -448,9 +321,8 @@ Hash32 StateDB::state_root_mpt() const {
   addresses.reserve(mpt_.dirty.size());
   for (const auto& [addr, info] : mpt_.dirty) addresses.push_back(addr);
   std::sort(addresses.begin(), addresses.end());
-  Account scratch;
   for (const Address& addr : addresses) {
-    mpt_.trie.update(addr, resolve(addr, scratch), mpt_.dirty.at(addr));
+    mpt_.trie.update(addr, find(addr), mpt_.dirty.at(addr));
   }
   mpt_.dirty.clear();
   return mpt_.trie.root_hash();
@@ -458,10 +330,7 @@ Hash32 StateDB::state_root_mpt() const {
 
 Hash32 StateDB::state_root_mpt_full() const {
   MerklePatriciaTrie trie;
-  Account scratch;
-  for (const Address& addr : live_addresses()) {
-    const Account* acc = resolve(addr, scratch);
-    SRBB_CHECK(acc != nullptr);
+  for (const auto& [addr, acc] : sorted_accounts()) {
     trie.put(addr.view(), encode_account_leaf(*acc, storage_trie_root(*acc)));
   }
   return trie.root_hash();

@@ -7,25 +7,18 @@
 // (overlay.hpp) is the speculative copy-on-write view the parallel executor
 // uses for optimistic execution.
 //
-// StateDB runs in one of two modes (docs/STATE.md):
-//  - Default (no backend): every account is resident in the flat map and
-//    reads are lock-free — byte-for-byte the original behaviour.
-//  - Backend mode (constructed with a StorageBackend): the flat map becomes
-//    a bounded resident cache. Reads fault missing records in from the
-//    backend under a read-write lock (safe against the parallel executor's
-//    concurrent speculation reads); commit() flushes the journal-derived
-//    dirty set through the backend and then evicts clean entries FIFO down
-//    to StateConfig::snapshot_capacity. A StateDB reopened over the same
-//    backend reproduces the flushed state exactly, including its roots.
+// StateDB keeps every account resident in one flat map, so reads take no
+// lock. An optional StorageBackend is a write-through durability log
+// (docs/STATE.md): commit() writes every account the surviving journal
+// names, and a StateDB reopened over the same backend loads those records
+// back, reproducing the committed state and its roots exactly.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -33,7 +26,6 @@
 #include "state/account.hpp"
 #include "state/backend.hpp"
 #include "state/config.hpp"
-#include "state/snapshot.hpp"
 #include "state/state_trie.hpp"
 
 namespace srbb::state {
@@ -60,10 +52,6 @@ class StateView {
   /// by. Implementations memoize where they can; the default recomputes.
   virtual Hash32 code_keccak(const Address& addr) const;
   virtual U256 storage(const Address& addr, const Hash32& key) const = 0;
-  /// Hint that the address is about to be read: backed states pull the
-  /// record into the resident cache so the upcoming reads are flat-map
-  /// hits. No-op by default and for fully resident states.
-  virtual void prefetch(const Address& /*addr*/) const {}
 
   // --- Writes (journaled) ---
   virtual void create_account(const Address& addr) = 0;
@@ -88,19 +76,18 @@ class StateDB final : public StateView {
  public:
   using Snapshot = StateView::Snapshot;
 
-  /// Default mode: fully resident, no backend — the original behaviour.
+  /// No backend: the state lives only in memory.
   StateDB() = default;
-  /// Fully resident but with the commitment knobs from `config`
+  /// No backend, with the commitment knobs from `config`
   /// (trie_node_cache_limit, storage_trie_cache) applied.
   explicit StateDB(StateConfig config) : config_(config) {}
-  /// Backend mode: `backend` holds the durable records; the flat map is a
-  /// resident cache bounded by config.snapshot_capacity. Existing backend
-  /// records become the initial world state (reopen).
+  /// Write-through to `backend`. Every record already in it is loaded as
+  /// the initial world state (reopen).
   StateDB(StateConfig config, std::shared_ptr<StorageBackend> backend);
 
   // Copyable for test/bench fixtures. A copy shares the backend pointer but
-  // starts with fresh lock/commitment caches (they rebuild on demand); do
-  // not commit through two copies of a backend-mode state.
+  // starts with a fresh commitment cache (it rebuilds on demand); do not
+  // commit through two copies of a backed state.
   StateDB(const StateDB&) = default;
   StateDB& operator=(const StateDB&) = default;
   StateDB(StateDB&&) = default;
@@ -116,13 +103,7 @@ class StateDB final : public StateView {
   /// code-less accounts). Pure read — safe under concurrent readers.
   Hash32 code_keccak(const Address& addr) const override;
   U256 storage(const Address& addr, const Hash32& key) const override;
-  void prefetch(const Address& addr) const override;
-  /// Live accounts (resident + backend-only, minus pending deletions).
-  std::size_t account_count() const {
-    return backend_ ? live_count_ : accounts_.size();
-  }
-  /// Accounts currently resident in the flat map.
-  std::size_t resident_accounts() const { return accounts_.size(); }
+  std::size_t account_count() const { return accounts_.size(); }
 
   // --- Writes (journaled) ---
   void create_account(const Address& addr) override;
@@ -141,10 +122,9 @@ class StateDB final : public StateView {
   // --- Journal control ---
   Snapshot snapshot() const override { return journal_.size(); }
   void revert_to(Snapshot snapshot) override;
-  /// Drop undo history (end of transaction); state stays as-is. In backend
-  /// mode this is also the durability + eviction point: dirty records are
-  /// flushed through the backend, then clean residents beyond
-  /// snapshot_capacity are evicted FIFO.
+  /// Drop undo history (end of block); state stays as-is. With a backend
+  /// this is also the durability point: every account the journal names is
+  /// written (or erased) in address order, then the backend is flushed.
   void commit();
 
   /// Deterministic digest of the entire world state. Accounts are hashed in
@@ -152,8 +132,7 @@ class StateDB final : public StateView {
   /// same blocks produce identical roots. O(n log n) per recompute; the
   /// result is memoized and reused until the next journaled write, so
   /// back-to-back calls (oracle indexing, convergence tests) are O(1).
-  /// Identical across modes for the same logical state. Not safe to call
-  /// concurrently with writes or with itself.
+  /// Not safe to call concurrently with writes or with itself.
   Hash32 state_root() const;
 
   /// Ethereum-shaped commitment: a Merkle Patricia Trie over accounts, each
@@ -169,16 +148,7 @@ class StateDB final : public StateView {
   /// differentially tested against. Always equals state_root_mpt().
   Hash32 state_root_mpt_full() const;
 
-  // --- introspection (obs wiring, tests) ---
-  struct BackingStats {
-    std::uint64_t hits = 0;       // reads served by the resident map
-    std::uint64_t misses = 0;     // reads of records absent everywhere
-    std::uint64_t faults = 0;     // records faulted in from the backend
-    std::uint64_t evictions = 0;  // clean residents evicted at commit
-  };
-  BackingStats backing_stats() const {
-    return {hits_.get(), misses_.get(), faults_.get(), evictions_};
-  }
+  // --- introspection (tests) ---
   const IncrementalStateTrie& state_trie() const { return mpt_.trie; }
   const StateConfig& config() const { return config_; }
   StorageBackend* backend() const { return backend_.get(); }
@@ -200,40 +170,11 @@ class StateDB final : public StateView {
     U256 prev_value;            // balance / storage
     std::uint64_t prev_nonce = 0;
     bool prev_existed = false;  // storage slot existed before write
-    /// Backend mode, create/delete ops: whether `addr` carried a deletion
-    /// tombstone when the op ran. The undo restores the tombstone (and its
-    /// pending backend-erase flush) exactly, so partial reverts of
-    /// self-destruct/recreate sequences cannot resurrect stale backend
-    /// records after commit clears the tombstone set.
-    bool prev_tombstoned = false;
     Bytes prev_code;
-    Account prev_account;  // delete undo
-  };
-
-  /// std::shared_mutex that copies/moves as a fresh mutex, so StateDB keeps
-  /// its defaulted special members.
-  struct FaultMutex {
-    std::shared_mutex m;
-    FaultMutex() = default;
-    FaultMutex(const FaultMutex&) {}
-    FaultMutex& operator=(const FaultMutex&) { return *this; }
-    FaultMutex(FaultMutex&&) noexcept {}
-    FaultMutex& operator=(FaultMutex&&) noexcept { return *this; }
-  };
-
-  /// Relaxed-atomic event counter (incremented under a shared lock by
-  /// concurrent readers); copyable so StateDB stays copyable.
-  struct RelaxedCounter {
-    std::atomic<std::uint64_t> v{0};
-    RelaxedCounter() = default;
-    RelaxedCounter(const RelaxedCounter& o)
-        : v(o.v.load(std::memory_order_relaxed)) {}
-    RelaxedCounter& operator=(const RelaxedCounter& o) {
-      v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      return *this;
-    }
-    void inc() { v.fetch_add(1, std::memory_order_relaxed); }
-    std::uint64_t get() const { return v.load(std::memory_order_relaxed); }
+    // Delete undo, boxed: inline, the Account would double the size of
+    // every entry, and genesis journals two entries per account. shared_ptr
+    // keeps StateDB copyable.
+    std::shared_ptr<const Account> prev_account;
   };
 
   /// Incremental-commitment state. Copies (and copy-assignments) reset to
@@ -255,41 +196,24 @@ class StateDB final : public StateView {
     MptState& operator=(MptState&&) = default;
   };
 
+  using AccountRef = std::pair<Address, const Account*>;
+
   Account& mutable_account(const Address& addr);
   const Account* find(const Address& addr) const;
-  /// Backend-mode read: resident map under a shared lock, fault-in from the
-  /// backend under the exclusive lock. Returned pointers stay valid until
-  /// the next commit() (eviction) or delete of that account.
-  const Account* fault_in(const Address& addr) const;
-  /// Resolve an account without touching the resident cache: returns the
-  /// resident pointer, or decodes the backend record into `scratch`.
-  const Account* resolve(const Address& addr, Account& scratch) const;
-  /// Every live address, ascending (resident ∪ backend − pending deletes).
-  std::vector<Address> live_addresses() const;
+  /// Every account, in ascending address order.
+  std::vector<AccountRef> sorted_accounts() const;
   void mark_mpt_dirty(const Address& addr) const;
   void mark_mpt_slot(const Address& addr, const Hash32& key) const;
   void mark_mpt_full(const Address& addr) const;
 
   StateConfig config_;
   std::shared_ptr<StorageBackend> backend_;
-  // accounts_ is mutable because backend-mode fault-in populates it from
-  // const reads (under fault_mutex_). Default mode never mutates it const.
-  mutable std::unordered_map<Address, Account, AddressHasher> accounts_;
-  mutable FaultMutex fault_mutex_;
-  // Accounts deleted since the last commit: the backend still holds their
-  // records, so fault-in must not resurrect them.
-  mutable std::unordered_set<Address, AddressHasher> deleted_;
-  mutable FlatSnapshot snapshot_;
-  std::size_t live_count_ = 0;  // backend mode only
+  std::unordered_map<Address, Account, AddressHasher> accounts_;
   std::vector<JournalEntry> journal_;
   // state_root() memoization: any journaled write (or revert) invalidates.
   mutable Hash32 root_cache_;
   mutable bool root_dirty_ = true;
   mutable MptState mpt_;
-  mutable RelaxedCounter hits_;
-  mutable RelaxedCounter misses_;
-  mutable RelaxedCounter faults_;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace srbb::state

@@ -7,11 +7,6 @@ namespace srbb::txn {
 Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
                                   const evm::BlockContext& block,
                                   const ExecutionConfig& config) {
-  // Pull the two accounts every transaction touches into the resident cache
-  // before validation starts (no-op on fully resident states), so the reads
-  // below are flat-map hits instead of interleaved backend faults.
-  db.prefetch(tx.sender());
-  if (tx.kind != TxKind::kDeploy) db.prefetch(tx.to);
   // Lazy validation: checks (iii)-(v). Failure -> invalid, no transition.
   if (Status lazy = lazy_validate(tx, db); !lazy) return lazy;
   // Check (i): signature, raised as an execution-time error when an invalid

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "evm/interpreter.hpp"
 #include "evm/opcodes.hpp"
+#include "support/copying_decode.hpp"
 #include "txn/block.hpp"
 #include "txn/transaction.hpp"
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "support/copying_decode.hpp"
 
 namespace srbb::rlp {
 namespace {

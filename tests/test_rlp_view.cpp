@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "support/copying_decode.hpp"
 
 namespace srbb::rlp {
 namespace {
@@ -37,7 +38,7 @@ void expect_differential(BytesView wire) {
     EXPECT_EQ(copied.status().message(), viewed.status().message());
     return;
   }
-  expect_same_tree(copied.value(), viewed.value().materialize(), "root");
+  expect_same_tree(copied.value(), materialize(viewed.value()), "root");
 }
 
 TEST(RlpView, MatchesCopyingDecoderOnValidInputs) {

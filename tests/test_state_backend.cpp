@@ -1,18 +1,17 @@
 // Differential suite for the layered state stack (docs/STATE.md).
 //
-// The seed-configuration StateDB (fully resident, no backend) is the
-// reference. Every other configuration — memory backend, tiny snapshot
-// capacity, log-structured backend on disk — must produce bit-identical
-// state_root() and state_root_mpt() at every commit point of a randomized
-// journaled workload, across backend reopen, torn-log recovery, compaction,
-// and self-destruct/recreate cycles.
+// A StateDB without a backend is the reference. One writing through to a
+// memory backend and one writing through to a log-structured backend on disk
+// must produce bit-identical state_root() and state_root_mpt() at every
+// commit point of a randomized journaled workload, and a StateDB reopened
+// over either backend must reproduce them, across torn-log recovery,
+// compaction, and self-destruct/recreate cycles.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "codec/rlp.hpp"
@@ -157,7 +156,8 @@ class StateFleet {
  public:
   explicit StateFleet(std::vector<StateDB*> dbs) : dbs_(std::move(dbs)) {}
 
-  void step(Rng& rng) {
+  /// Applies one op; true when it was a commit.
+  bool step(Rng& rng) {
     const Address addr = addr_of(rng.next_below(24));
     switch (rng.next_below(12)) {
       case 0:
@@ -212,8 +212,9 @@ class StateFleet {
         break;
       default:
         commit_and_check();
-        break;
+        return true;
     }
+    return false;
   }
 
   void commit_and_check() {
@@ -246,16 +247,21 @@ class StateFleet {
   std::vector<std::vector<StateView::Snapshot>> snapshots_;
 };
 
-// Regression: a self-destruct followed by a recreate-over-tombstone, with the
-// recreate reverted, must keep the pending backend erase. The original code
-// let the create-undo's note_erased() consume the deletion's dirty mark, so
-// commit() cleared the tombstone without erasing the record and the next
-// fault-in resurrected the stale account (found by the differential suite).
-TEST(StateBackend, RevertedRecreateOverTombstoneStillFlushesDeletion) {
+/// A StateDB reopened over `backend` must reproduce `live` exactly.
+void expect_reopens_to(const StateDB& live,
+                       std::shared_ptr<StorageBackend> backend) {
+  const StateDB reopened{StateConfig{}, std::move(backend)};
+  ASSERT_EQ(reopened.account_count(), live.account_count());
+  ASSERT_EQ(reopened.state_root(), live.state_root());
+  ASSERT_EQ(reopened.state_root_mpt(), live.state_root_mpt());
+}
+
+// Regression (found by the differential suite): a self-destruct followed by a
+// recreate, with the recreate reverted, must still erase the record at
+// commit, or a reopen resurrects the stale account.
+TEST(StateBackend, RevertedRecreateAfterDeleteStillFlushesDeletion) {
   auto backend = std::make_shared<MemoryBackend>();
-  StateConfig cfg;
-  cfg.snapshot_capacity = 2;
-  StateDB db{cfg, backend};
+  StateDB db{StateConfig{}, backend};
   StateDB reference;
   const Address victim = addr_of(7);
   for (StateDB* d : {&db, &reference}) {
@@ -265,7 +271,7 @@ TEST(StateBackend, RevertedRecreateOverTombstoneStillFlushesDeletion) {
 
     d->delete_account(victim);
     const auto mid = d->snapshot();
-    d->create_account(victim);          // resurrect over the tombstone
+    d->create_account(victim);          // recreate after the delete
     d->add_balance(victim, U256{1});
     d->revert_to(mid);                  // back to "deleted"
     d->commit();
@@ -274,9 +280,10 @@ TEST(StateBackend, RevertedRecreateOverTombstoneStillFlushesDeletion) {
   EXPECT_EQ(backend->get(victim), std::nullopt);
   EXPECT_EQ(db.state_root(), reference.state_root());
   EXPECT_EQ(db.state_root_mpt(), reference.state_root_mpt());
+  expect_reopens_to(reference, backend);
 
-  // The double-delete variant: the second deletion sees a tombstoned-but-
-  // resident account, and a full revert must restore the original.
+  // The double-delete variant: delete, recreate, delete again, then a full
+  // revert must restore the original.
   for (StateDB* d : {&db, &reference}) {
     d->add_balance(victim, U256{5});
     d->commit();
@@ -289,6 +296,7 @@ TEST(StateBackend, RevertedRecreateOverTombstoneStillFlushesDeletion) {
     EXPECT_EQ(d->balance(victim), U256{5});
   }
   EXPECT_EQ(db.state_root(), reference.state_root());
+  expect_reopens_to(reference, backend);
 }
 
 class StateBackendDifferential : public ::testing::TestWithParam<std::uint64_t> {
@@ -296,134 +304,41 @@ class StateBackendDifferential : public ::testing::TestWithParam<std::uint64_t> 
 
 TEST_P(StateBackendDifferential, AllConfigurationsAgreeAtEveryCommit) {
   const std::uint64_t seed = GetParam();
-  StateDB reference;  // seed configuration
+  StateDB reference;  // no backend
 
-  StateConfig bounded_cfg;
-  bounded_cfg.snapshot_capacity = 4;
-  bounded_cfg.storage_trie_cache = 2;
-  bounded_cfg.trie_node_cache_limit = 64;
-  StateDB bounded{bounded_cfg, std::make_shared<MemoryBackend>()};
-
-  StateDB unbounded{StateConfig{}, std::make_shared<MemoryBackend>()};
+  // Tiny trie caches, so the incremental commitment also evicts.
+  StateConfig memory_cfg;
+  memory_cfg.storage_trie_cache = 2;
+  memory_cfg.trie_node_cache_limit = 64;
+  const auto memory = std::make_shared<MemoryBackend>();
+  StateDB in_memory{memory_cfg, memory};
 
   const std::string log_path =
       fresh_log_path("srbb_diff_" + std::to_string(seed) + ".log");
-  StateConfig log_cfg;
-  log_cfg.snapshot_capacity = 2;
-  StateDB logged{log_cfg, std::make_shared<LogBackend>(log_path)};
+  StateDB logged{StateConfig{}, std::make_shared<LogBackend>(log_path)};
 
-  StateFleet fleet{{&reference, &bounded, &unbounded, &logged}};
+  // Every commit is durable: reopening either backend reproduces the state.
+  const auto check_reopen = [&] {
+    expect_reopens_to(reference, memory);
+    expect_reopens_to(reference, std::make_shared<LogBackend>(log_path));
+  };
+  StateFleet fleet{{&reference, &in_memory, &logged}};
   Rng rng{seed};
-  for (int step = 0; step < 300; ++step) fleet.step(rng);
+  for (int step = 0; step < 300; ++step) {
+    if (fleet.step(rng)) check_reopen();
+  }
   fleet.commit_and_check();
+  check_reopen();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StateBackendDifferential,
                          ::testing::Range(std::uint64_t{0}, std::uint64_t{24}));
 
-// --- backend-mode behaviour --------------------------------------------------
-
-TEST(StateBackend, FaultsRecordsInOnDemand) {
-  auto backend = std::make_shared<MemoryBackend>();
-  StateConfig cfg;
-  cfg.snapshot_capacity = 1;
-  StateDB db{cfg, backend};
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    db.add_balance(addr_of(i), U256{100 + i});
-  }
-  db.commit();
-  EXPECT_LE(db.resident_accounts(), 1u);
-  EXPECT_EQ(db.account_count(), 8u);
-  // Evicted accounts read back correctly through fault-in.
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(db.balance(addr_of(i)), U256{100 + i}) << i;
-  }
-  const StateDB::BackingStats stats = db.backing_stats();
-  EXPECT_GT(stats.faults, 0u);
-  EXPECT_GT(stats.evictions, 0u);
-  // Reads of never-existing accounts miss everywhere.
-  EXPECT_FALSE(db.account_exists(addr_of(999)));
-  EXPECT_GT(db.backing_stats().misses, 0u);
-}
-
-TEST(StateBackend, PrefetchPopulatesResidentCache) {
-  auto backend = std::make_shared<MemoryBackend>();
-  StateConfig cfg;
-  cfg.snapshot_capacity = 1;
-  StateDB db{cfg, backend};
-  db.add_balance(addr_of(1), U256{5});
-  db.add_balance(addr_of(2), U256{6});
-  db.commit();
-  EXPECT_LE(db.resident_accounts(), 1u);
-  db.prefetch(addr_of(1));
-  db.prefetch(addr_of(2));
-  EXPECT_EQ(db.resident_accounts(), 2u);  // dirty-free faults accumulate
-  EXPECT_EQ(db.balance(addr_of(1)), U256{5});
-}
-
-TEST(StateBackend, DeletedAccountIsNotResurrectedByFaultIn) {
-  auto backend = std::make_shared<MemoryBackend>();
-  StateConfig cfg;
-  cfg.snapshot_capacity = 1;
-  StateDB db{cfg, backend};
-  db.add_balance(addr_of(1), U256{5});
-  db.add_balance(addr_of(2), U256{6});
-  db.commit();  // both flushed; at most one resident
-  db.delete_account(addr_of(1));
-  // Before the deletion commits, the backend still holds the record; the
-  // tombstone must hide it.
-  EXPECT_FALSE(db.account_exists(addr_of(1)));
-  EXPECT_EQ(db.account_count(), 1u);
-  db.commit();
-  EXPECT_FALSE(db.account_exists(addr_of(1)));
-  EXPECT_EQ(backend->size(), 1u);
-  // Reverted deletion restores visibility.
-  db.add_balance(addr_of(2), U256{1});
-  const auto snap = db.snapshot();
-  db.delete_account(addr_of(2));
-  EXPECT_FALSE(db.account_exists(addr_of(2)));
-  db.revert_to(snap);
-  EXPECT_TRUE(db.account_exists(addr_of(2)));
-  EXPECT_EQ(db.balance(addr_of(2)), U256{7});
-}
-
-TEST(StateBackend, ConcurrentFaultInIsSafe) {
-  // Parallel speculation faults records in concurrently through the shared
-  // fault lock; the values each thread observes must be exact. Run under
-  // TSan via tools/tsan_check.sh.
-  auto backend = std::make_shared<MemoryBackend>();
-  StateConfig cfg;
-  cfg.snapshot_capacity = 16;
-  StateDB db{cfg, backend};
-  constexpr std::uint64_t kAccounts = 256;
-  for (std::uint64_t i = 0; i < kAccounts; ++i) {
-    db.add_balance(addr_of(i), U256{1000 + i});
-  }
-  db.commit();  // evicts down to 16 resident
-
-  std::vector<std::thread> readers;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&db, &mismatches, t] {
-      Rng rng{static_cast<std::uint64_t>(t)};
-      for (int i = 0; i < 2000; ++i) {
-        const std::uint64_t idx = rng.next_below(kAccounts);
-        if (db.balance(addr_of(idx)) != U256{1000 + idx}) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(db.backing_stats().faults, 0u);
-}
+// --- speculation over a backed state ----------------------------------------
 
 TEST(StateBackend, OverlaySpeculationOverBackedState) {
   auto backend = std::make_shared<MemoryBackend>();
-  StateConfig cfg;
-  cfg.snapshot_capacity = 1;
-  StateDB db{cfg, backend};
+  StateDB db{StateConfig{}, backend};
   StateDB reference;
   for (std::uint64_t i = 0; i < 6; ++i) {
     db.add_balance(addr_of(i), U256{50});
@@ -432,7 +347,7 @@ TEST(StateBackend, OverlaySpeculationOverBackedState) {
   db.commit();
   reference.commit();
 
-  // Speculate over the backed state: reads fault records in under the lock.
+  // Speculate over the backed state; the commit writes the result through.
   OverlayState overlay{db};
   EXPECT_EQ(overlay.balance(addr_of(3)), U256{50});
   overlay.set_balance(addr_of(3), U256{20});
@@ -446,6 +361,7 @@ TEST(StateBackend, OverlaySpeculationOverBackedState) {
   reference.commit();
   EXPECT_EQ(db.state_root(), reference.state_root());
   EXPECT_EQ(db.state_root_mpt(), reference.state_root_mpt());
+  expect_reopens_to(reference, backend);
 }
 
 // --- log backend: reopen, crash safety, compaction ---------------------------
@@ -456,9 +372,7 @@ TEST(LogBackendReopen, StateSurvivesCloseAndReopen) {
   Hash32 root;
   Hash32 mpt_root;
   {
-    StateConfig cfg;
-    cfg.snapshot_capacity = 3;
-    StateDB db{cfg, std::make_shared<LogBackend>(path)};
+    StateDB db{StateConfig{}, std::make_shared<LogBackend>(path)};
     StateFleet fleet{{&reference, &db}};
     Rng rng{42};
     for (int step = 0; step < 200; ++step) fleet.step(rng);

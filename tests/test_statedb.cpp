@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+// mallinfo2() exists from glibc 2.33 on.
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+#define SRBB_HAS_MALLINFO2 1
+#include <malloc.h>
+#endif
+
 #include "crypto/keccak.hpp"
 #include "state/overlay.hpp"
 
@@ -325,6 +331,42 @@ TEST(Overlay, CodeKeccakRoutesThroughBuffer) {
             crypto::Keccak256::hash(BytesView{base_code}));
   // Code-less address: the canonical empty-code hash.
   EXPECT_EQ(overlay.code_keccak(addr(9)), empty_code_keccak());
+}
+
+// Sanitizer runtimes replace malloc, so glibc's statistics do not see it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SRBB_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define SRBB_MALLOC_REPLACED 1
+#endif
+#endif
+
+TEST(StateDB, CommitReleasesGenesisSizedJournal) {
+#if !defined(SRBB_HAS_MALLINFO2) || defined(SRBB_MALLOC_REPLACED)
+  GTEST_SKIP() << "needs glibc's (2.33+) own allocator statistics";
+#else
+  constexpr std::uint32_t kAccounts = 100'000;
+  StateDB db;
+  for (std::uint32_t i = 0; i < kAccounts; ++i) {
+    Address a;
+    put_be32(a.data.data() + 16, i + 1);
+    db.add_balance(a, U256{1});
+  }
+  // Bytes in use on the heap plus in mmapped blocks: glibc serves an
+  // allocation as large as this journal with mmap, outside uordblks.
+  const auto in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const std::size_t before = in_use();
+  db.commit();
+  const std::size_t after = in_use();
+  // Each account journaled a create and a balance change, each entry well
+  // over 100 bytes; commit() must hand that memory back.
+  EXPECT_LT(after + std::size_t{kAccounts} * 2 * 100, before);
+#endif
 }
 
 TEST(StateDbInvariants, RevertToStaleSnapshotAborts) {

@@ -6,8 +6,8 @@
 #               memory errors and UB anywhere in the tier-1 surface.
 #   tsan        the concurrency-sensitive subset (parallel executor, oracle
 #               parallel path, thread pool, validation
-#               pipeline, batch signature verify, state-backend concurrent
-#               fault-in) under ThreadSanitizer, via tools/tsan_check.sh.
+#               pipeline, batch signature verify) under ThreadSanitizer,
+#               via tools/tsan_check.sh.
 #               TSan and ASan cannot share a process, hence the separate leg.
 #
 # Usage: tools/sanitize_matrix.sh [asan_ubsan|tsan|all]   (default: all)
