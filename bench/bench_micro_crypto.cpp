@@ -130,7 +130,8 @@ void BM_Ed25519_BatchThreadedMultiScalar(benchmark::State& state) {
   run_batch_bench(state, &pool);
 }
 BENCHMARK(BM_Ed25519_BatchThreadedMultiScalar)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
+    ->Arg(1)->Arg(8)->Arg(64)->Arg(512)
+    ->UseRealTime();
 
 // Worst case for the bisection: every item invalid, forcing the fallback to
 // descend to single-equation leaves (cost ~2x sequential, bounded).

@@ -87,15 +87,15 @@ void BM_DappCall(benchmark::State& state) {
 BENCHMARK(BM_DappCall);
 
 void BM_ApplyTransaction(benchmark::State& state) {
-  // Full transaction application including signature verification — the
-  // commit-path per-transaction cost the network model charges.
+  // Signing plus transaction application: the commit-path per-transaction
+  // cost the network model charges, less the signature check, which the
+  // execution oracle makes once per superblock (bench_micro_oracle).
   state::StateDB db;
   db.set_code(addr(1), evm::mobility_contract().runtime_code);
   const crypto::Identity sender = scheme().make_identity(1);
   db.add_balance(sender.address(), U256::max() >> 8);
   evm::BlockContext block;
-  txn::ExecutionConfig exec;
-  exec.scheme = &scheme();
+  const txn::ExecutionConfig exec;
   std::uint64_t nonce = 0;
   for (auto _ : state) {
     txn::TxParams params;

@@ -202,15 +202,9 @@ const Workload& workload(WorkloadKind kind) {
   return w;
 }
 
-txn::ExecutionConfig exec_config() {
-  txn::ExecutionConfig config;
-  config.scheme = &scheme();
-  return config;
-}
-
 void BM_SequentialExec(benchmark::State& state) {
   const Workload& w = workload(static_cast<WorkloadKind>(state.range(0)));
-  const txn::ExecutionConfig config = exec_config();
+  const txn::ExecutionConfig config;
   for (auto _ : state) {
     state::StateDB db = w.genesis;
     std::uint64_t gas = 0;
@@ -231,7 +225,7 @@ BENCHMARK(BM_SequentialExec)
 
 void BM_ParallelExec(benchmark::State& state) {
   const Workload& w = workload(static_cast<WorkloadKind>(state.range(0)));
-  const txn::ExecutionConfig config = exec_config();
+  const txn::ExecutionConfig config;
   const std::size_t workers = static_cast<std::size_t>(state.range(1));
   txn::ParallelExecutor executor{workers, /*max_retries=*/3};
   std::vector<const txn::Transaction*> ptrs;
@@ -263,7 +257,8 @@ BENCHMARK(BM_ParallelExec)
     ->Args({kHot, 4})
     ->Args({kNasdaq, 4})->Args({kUber, 4})->Args({kFifa, 4})
     ->Args({kKvDisjoint, 4})->Args({kTopHeavy, 4})->Args({kRouterHot, 4})
-    ->Unit(benchmark::kMillisecond)->ArgNames({"workload", "workers"});
+    ->Unit(benchmark::kMillisecond)->ArgNames({"workload", "workers"})
+    ->UseRealTime();
 
 // Same superblocks through the conflict-aware pre-scheduler. Receipts are
 // bit-identical to BM_ParallelExec (the tests enforce it); what changes is
@@ -271,7 +266,7 @@ BENCHMARK(BM_ParallelExec)
 void BM_HintedExec(benchmark::State& state) {
   const Workload& w = workload(static_cast<WorkloadKind>(state.range(0)));
   evm::analysis::AnalysisCache hint_cache;
-  txn::ExecutionConfig config = exec_config();
+  txn::ExecutionConfig config;
   config.analysis_hints = true;
   config.hint_cache = &hint_cache;
   const std::size_t workers = static_cast<std::size_t>(state.range(1));
@@ -309,6 +304,7 @@ BENCHMARK(BM_HintedExec)
     ->Args({kMedium, 4})
     ->Args({kNasdaq, 4})->Args({kUber, 4})->Args({kFifa, 4})
     ->Args({kTopHeavy, 4})->Args({kRouterHot, 4})
-    ->Unit(benchmark::kMillisecond)->ArgNames({"workload", "workers"});
+    ->Unit(benchmark::kMillisecond)->ArgNames({"workload", "workers"})
+    ->UseRealTime();
 
 }  // namespace

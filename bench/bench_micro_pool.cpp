@@ -144,7 +144,9 @@ void BM_PipelineValidatePooled(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_PipelineValidatePooled)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_PipelineValidatePooled)
+    ->Arg(1)->Arg(8)->Arg(64)->Arg(512)
+    ->UseRealTime();
 
 void BM_TxHashAndCache(benchmark::State& state) {
   txn::TxParams params;

@@ -1,5 +1,7 @@
-// Batch signature verification. Eager validation is dominated by the
-// per-transaction signature check, and there is one way to check a batch:
+// Batch signature verification. It has two callers on the commit path:
+// eager validation of client transactions (txn::ValidationPipeline) and
+// check (i) over every transaction of a decided superblock
+// (node::ExecutionOracle::execute). There is one way to check a batch:
 // the scheme's shared-computation algorithm (for ed25519, one multi-scalar
 // multiplication per chunk), with chunks spread across a thread pool when
 // one is given and the batch is large enough to pay for the fan-out. With
@@ -7,8 +9,7 @@
 //
 // verify_batch returns results positionally identical to
 // batch_verify_sequential, the one-verify-per-item reference the tests
-// compare against (the ed25519 soundness caveat is documented in
-// docs/PERF.md). Items carry BytesView messages; the caller owns the
+// compare against. Items carry BytesView messages; the caller owns the
 // message buffers and must keep them alive across the call.
 #pragma once
 

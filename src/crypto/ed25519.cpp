@@ -246,12 +246,19 @@ Point point_add(const Point& p, const Point& q) {
 
 Point point_double(const Point& p) { return point_add(p, p); }
 
-// Equality without normalizing: X1/Z1 == X2/Z2 and Y1/Z1 == Y2/Z2 compared
-// by cross-multiplication, avoiding the two inversions of compressing both
-// sides.
-bool point_equal(const Point& p, const Point& q) {
-  if (!fe_equal(fe_mul(p.x, q.z), fe_mul(q.x, p.z))) return false;
-  return fe_equal(fe_mul(p.y, q.z), fe_mul(q.y, p.z));
+Point point_neg(const Point& p) {
+  return Point{fe_neg(p.x), p.y, p.z, fe_neg(p.t)};
+}
+
+// Cofactored equality [8]P == [8]Q: the difference P - Q is doubled three
+// times and compared with the identity (X == 0, Y == Z) without normalizing.
+// Points that differ only by a small-order (torsion) component compare
+// equal, so every verification path below (single, combined and bisection
+// leaf) accepts and rejects the same signatures.
+bool point_equal_cofactored(const Point& p, const Point& q) {
+  Point d = point_add(p, point_neg(q));
+  for (int i = 0; i < 3; ++i) d = point_double(d);
+  return fe_is_zero(d.x) && fe_equal(d.y, d.z);
 }
 
 void point_compress(std::uint8_t out[32], const Point& p) {
@@ -373,10 +380,48 @@ const CurveConstants& constants() {
 // Scalar arithmetic mod the group order L = 2^252 + delta.
 // ---------------------------------------------------------------------------
 
-const U256 kL = []() {
-  return (U256::one() << 252) +
-         U256::from_hex("0x14def9dea2f79cd65812631a5cf5d3ed").value_or(U256{});
-}();
+const U256 kDelta =
+    U256::from_hex("0x14def9dea2f79cd65812631a5cf5d3ed").value_or(U256{});
+const U256 kL = (U256::one() << 252) + kDelta;
+const U256 kLow252 = (U256::one() << 252) - U256::one();
+// 2^256 = 16 (L - delta), so 2^256 == -16 delta (mod L).
+const U256 k16Delta = kDelta << 4;
+
+// Reduction mod L by folding instead of bit-serial division (the generic
+// U256 mulmod/addmod), which dominated the per-item scalar work of a batch.
+// x < 2^256 splits as q 2^252 + low with q < 16, and 2^252 == -delta, so
+// x == low - q delta with q delta < 2^129.
+U256 sc_reduce256(const U256& x) {
+  const U256 low = x & kLow252;
+  const U256 qd = (x >> 252) * kDelta;
+  return low >= qd ? low - qd : low + kL - qd;
+}
+
+// Both operands < L.
+U256 sc_add(const U256& a, const U256& b) {
+  const U256 sum = a + b;
+  return sum >= kL ? sum - kL : sum;
+}
+
+U256 sc_sub(const U256& a, const U256& b) {
+  return a >= b ? a - b : a + kL - b;
+}
+
+// x = hi 2^256 + lo. Folding 2^256 == -16 delta three times: x == lo - p1
+// with p1 = 16 delta hi < 2^385, p1 == p1.lo - p2 with p2 = 16 delta p1.hi
+// < 2^258, and p2 == p2.lo - p3 with p3 = 16 delta p2.hi < 2^131.
+U256 sc_reduce512(const U256& lo, const U256& hi) {
+  const U256::Wide p1 = hi.full_mul(k16Delta);
+  const U256::Wide p2 = p1.hi.full_mul(k16Delta);
+  const U256 p3 = p2.hi * k16Delta;
+  const U256 r = sc_sub(sc_reduce256(lo), sc_reduce256(p1.lo));
+  return sc_sub(sc_add(r, sc_reduce256(p2.lo)), sc_reduce256(p3));
+}
+
+U256 sc_mul(const U256& a, const U256& b) {
+  const U256::Wide wide = a.full_mul(b);
+  return sc_reduce512(wide.lo, wide.hi);
+}
 
 U256 u256_from_le(const std::uint8_t* in, std::size_t len) {
   std::uint8_t be[32] = {};
@@ -392,11 +437,8 @@ void u256_to_le(std::uint8_t out[32], const U256& v) {
 
 // Interpret a 64-byte little-endian hash as an integer mod L.
 U256 scalar_from_hash(const Hash64& h) {
-  const U256 lo = u256_from_le(h.data(), 32);
-  const U256 hi = u256_from_le(h.data() + 32, 32);
-  // 2^256 mod L
-  const U256 two256 = (U256::max() % kL + U256::one()) % kL;
-  return addmod(mulmod(hi % kL, two256, kL), lo % kL, kL);
+  return sc_reduce512(u256_from_le(h.data(), 32),
+                      u256_from_le(h.data() + 32, 32));
 }
 
 struct ExpandedKey {
@@ -428,9 +470,11 @@ ExpandedKey expand_seed(const PrivateSeed& seed) {
 // independent verifies. Coefficients z_i are 128-bit and derived
 // deterministically from a SHA-512 transcript of the whole batch (the repo
 // bans runtime randomness); forging a batch whose defects cancel in the
-// combination requires grinding the transcript hash. docs/PERF.md records
-// the exact soundness caveat. On combined-equation failure the range is
-// bisected deterministically; size-1 leaves use the plain single-signature
+// combination requires grinding the transcript hash. Both sides are
+// compared cofactored (multiplied by 8), like the single-signature check, so
+// a small-order component in R or A cannot make the combination disagree
+// with per-item verification. On combined-equation failure the range is
+// bisected deterministically; size-1 leaves use the single-signature
 // equation, so rejected batches converge to results positionally identical
 // to sequential verification.
 // ---------------------------------------------------------------------------
@@ -474,10 +518,12 @@ struct BatchEntry {
   U256 z;                    // batch coefficient, 128-bit, nonzero
 };
 
-bool batch_equation_single(const BatchEntry& e) {
-  const Point lhs = scalar_mul_base(e.s);
-  const Point rhs = point_add(e.r, scalar_mul(e.k, e.a));
-  return point_equal(lhs, rhs);
+// The single-signature equation [8](s B) == [8](R + k A), shared by
+// ed25519_verify and the bisection leaf.
+bool signature_equation(const U256& s, const Point& r, const U256& k,
+                        const Point& a) {
+  return point_equal_cofactored(scalar_mul_base(s),
+                                point_add(r, scalar_mul(k, a)));
 }
 
 // Combined equation over live[lo, hi) (indices into `entries`).
@@ -491,13 +537,14 @@ bool batch_equation_range(const std::vector<BatchEntry>& entries,
   points.reserve(2 * (hi - lo));
   for (std::size_t i = lo; i < hi; ++i) {
     const BatchEntry& e = entries[live[i]];
-    s_sum = addmod(s_sum, mulmod(e.z, e.s, kL), kL);
+    s_sum = sc_add(s_sum, sc_mul(e.z, e.s));
     scalars.push_back(e.z);
     points.push_back(e.r);
-    scalars.push_back(mulmod(e.z, e.k, kL));
+    scalars.push_back(sc_mul(e.z, e.k));
     points.push_back(e.a);
   }
-  return point_equal(scalar_mul_base(s_sum), multi_scalar_mul(scalars, points));
+  return point_equal_cofactored(scalar_mul_base(s_sum),
+                                multi_scalar_mul(scalars, points));
 }
 
 // Deterministic bisection: a passing combined equation accepts the whole
@@ -509,7 +556,8 @@ void batch_resolve_range(const std::vector<BatchEntry>& entries,
                          std::vector<std::uint8_t>& results) {
   if (hi == lo) return;
   if (hi - lo == 1) {
-    results[live[lo]] = batch_equation_single(entries[live[lo]]) ? 1 : 0;
+    const BatchEntry& e = entries[live[lo]];
+    results[live[lo]] = signature_equation(e.s, e.r, e.k, e.a) ? 1 : 0;
     return;
   }
   if (batch_equation_range(entries, live, lo, hi)) {
@@ -559,7 +607,7 @@ Signature ed25519_sign(BytesView message, const Ed25519KeyPair& keypair) {
   h2.update(message);
   const U256 k = scalar_from_hash(h2.finish());
 
-  const U256 s = addmod(r, mulmod(k, ek.scalar % kL, kL), kL);
+  const U256 s = sc_add(r, sc_mul(k, sc_reduce256(ek.scalar)));
   u256_to_le(sig.data() + 32, s);
   return sig;
 }
@@ -580,10 +628,7 @@ bool ed25519_verify(BytesView message, const Signature& signature,
   h.update(message);
   const U256 k = scalar_from_hash(h.finish());
 
-  // Check s*B == R + k*A in projective coordinates.
-  const Point lhs = scalar_mul_base(s);
-  const Point rhs = point_add(r_point, scalar_mul(k, a_point));
-  return point_equal(lhs, rhs);
+  return signature_equation(s, r_point, k, a_point);
 }
 
 std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items) {

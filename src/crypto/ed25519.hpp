@@ -35,6 +35,10 @@ Ed25519KeyPair ed25519_keypair_from_id(std::uint64_t id);
 
 Signature ed25519_sign(BytesView message, const Ed25519KeyPair& keypair);
 
+/// RFC 8032 verification with the cofactored equation [8]sB == [8](R + kA),
+/// the check ed25519_verify_batch also applies, so both give the same
+/// verdict on every signature, including ones whose R or A carries a
+/// small-order component.
 bool ed25519_verify(BytesView message, const Signature& signature,
                     const PublicKey& public_key);
 
@@ -52,8 +56,10 @@ struct Ed25519BatchItem {
 /// are derived deterministically from a transcript hash (no runtime
 /// randomness); a failing combination bisects down to exact per-signature
 /// checks, so results are positionally identical to calling ed25519_verify
-/// per item for every non-pathological input (soundness caveat in
-/// docs/PERF.md).
+/// per item. Both sides of every equation are compared cofactored, so a
+/// torsion-crafted signature is accepted or rejected exactly as by
+/// ed25519_verify; the only remaining gap is the ~2^-128 chance that a
+/// forged item cancels in the random linear combination.
 std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items);
 
 }  // namespace srbb::crypto

@@ -1,8 +1,20 @@
 #include "srbb/oracle.hpp"
 
+#include "common/thread_pool.hpp"
+#include "crypto/batch.hpp"
+
 namespace srbb::node {
 
 namespace {
+
+// Check (i) of every superblock runs on one process-wide pool with one worker
+// per core, created on first use. It is not per oracle: a simulation holds a
+// replicated oracle per validator, and a pool each would multiply the
+// threads without adding cores.
+ThreadPool& verify_pool() {
+  static ThreadPool pool;
+  return pool;
+}
 
 // Shared by the sequential and parallel paths so both produce identical
 // per-transaction accounting.
@@ -39,10 +51,9 @@ ExecutionOracle::ExecutionOracle(const GenesisSpec& genesis,
     : genesis_(genesis),
       state_config_(state_config),
       db_(state_config),
-      block_template_(block_template) {
+      block_template_(block_template),
+      scheme_(&scheme) {
   genesis_.apply(db_);
-  exec_config_.verify_signature = true;
-  exec_config_.scheme = &scheme;
 }
 
 void ExecutionOracle::reset() {
@@ -68,44 +79,65 @@ const IndexExecResult& ExecutionOracle::execute(
   evm::BlockContext block_ctx = block_template_;
   block_ctx.number = index;
 
+  // Check (i), the signature (the EVM's ErrInvalidSig, Alg. 1 l.32-40): a
+  // Byzantine proposer can include forged transactions, so every replica
+  // checks every transaction of the superblock, here all at once in
+  // canonical order (block order, then transaction order) with one batch
+  // verify over the cached signing digests.
+  std::vector<crypto::BatchVerifyItem> items;
+  for (const txn::BlockPtr& block : blocks) {
+    for (const txn::TxPtr& tx : block->txs) {
+      items.push_back({tx->signing_hash.view(), tx->tx.signature,
+                       tx->tx.sender_pubkey});
+    }
+  }
+  const std::vector<bool> signed_ok =
+      crypto::verify_batch(*scheme_, items, &verify_pool());
+
+  // The parallel path hands the signed transactions, still in canonical
+  // order, to the optimistic executor in one call.
+  std::vector<Result<txn::Receipt>> executed;
   if (exec_config_.parallel) {
-    // Flatten the superblock into canonical order (block order, then
-    // transaction order) and hand it to the optimistic executor; receipts
-    // come back in the same order and scatter into per-block outcomes.
-    std::vector<const txn::Transaction*> flat;
+    std::vector<const txn::Transaction*> signed_txs;
+    std::size_t i = 0;
     for (const txn::BlockPtr& block : blocks) {
-      for (const txn::TxPtr& tx : block->txs) flat.push_back(&tx->tx);
+      for (const txn::TxPtr& tx : block->txs) {
+        if (signed_ok[i++]) signed_txs.push_back(&tx->tx);
+      }
     }
     if (!parallel_) {
       parallel_ = std::make_unique<txn::ParallelExecutor>(
           exec_config_.workers, exec_config_.max_retries);
     }
-    const std::vector<Result<txn::Receipt>> receipts =
-        parallel_->execute_block(flat, db_, block_ctx, exec_config_,
-                                 &result.parallel,
-                                 txn::ExecTraceContext{ctx.trace, ctx.at,
-                                                       ctx.node});
-    std::size_t next = 0;
-    for (const txn::BlockPtr& block : blocks) {
-      BlockExecResult block_result;
-      block_result.proposer = block->header.proposer;
-      for (const txn::TxPtr& tx : block->txs) {
+    executed = parallel_->execute_block(
+        signed_txs, db_, block_ctx, exec_config_, &result.parallel,
+        txn::ExecTraceContext{ctx.trace, ctx.at, ctx.node});
+  }
+
+  // A transaction whose signature failed never reaches the executor: no
+  // state transition, discarded like a lazy-validation failure. The rest
+  // execute with no further signature work.
+  const Result<txn::Receipt> bad_signature =
+      Status::error("exec: invalid signature (ErrInvalidSig)");
+  std::size_t next = 0;
+  std::size_t next_executed = 0;
+  for (const txn::BlockPtr& block : blocks) {
+    BlockExecResult block_result;
+    block_result.proposer = block->header.proposer;
+    for (const txn::TxPtr& tx : block->txs) {
+      if (!signed_ok[next++]) {
         block_result.outcomes.push_back(
-            outcome_from(tx, receipts[next++], result));
+            outcome_from(tx, bad_signature, result));
+      } else if (exec_config_.parallel) {
+        block_result.outcomes.push_back(
+            outcome_from(tx, executed[next_executed++], result));
+      } else {
+        block_result.outcomes.push_back(outcome_from(
+            tx, txn::apply_transaction(tx->tx, db_, block_ctx, exec_config_),
+            result));
       }
-      result.blocks.push_back(std::move(block_result));
     }
-  } else {
-    for (const txn::BlockPtr& block : blocks) {
-      BlockExecResult block_result;
-      block_result.proposer = block->header.proposer;
-      for (const txn::TxPtr& tx : block->txs) {
-        const auto receipt =
-            txn::apply_transaction(tx->tx, db_, block_ctx, exec_config_);
-        block_result.outcomes.push_back(outcome_from(tx, receipt, result));
-      }
-      result.blocks.push_back(std::move(block_result));
-    }
+    result.blocks.push_back(std::move(block_result));
   }
   db_.commit();
   // Deferred roots (state/config.hpp): recompute only on interval

@@ -73,7 +73,9 @@ class ExecutionOracle {
 
   /// Execute the superblock for `index` (idempotent: repeated calls return
   /// the memoized result). Indices must be executed in increasing order on
-  /// first call.
+  /// first call. Every signature of the superblock is checked first, with
+  /// one crypto::verify_batch call under the constructor's scheme on a
+  /// process-wide pool; transactions that fail it are discarded unexecuted.
   const IndexExecResult& execute(std::uint64_t index,
                                  const std::vector<txn::BlockPtr>& blocks);
   const IndexExecResult& execute(std::uint64_t index,
@@ -89,7 +91,7 @@ class ExecutionOracle {
   /// a shared oracle would destroy the state of every co-owning replica.
   void reset();
 
-  /// Execution knobs (parallelism, signature re-checking). Changing
+  /// Execution knobs (parallelism, code validation). Changing
   /// `workers` after the first parallel execution has no effect: the worker
   /// pool is created lazily on first use and then kept.
   txn::ExecutionConfig& exec_config() { return exec_config_; }
@@ -111,6 +113,7 @@ class ExecutionOracle {
   state::StateConfig state_config_;
   state::StateDB db_;
   evm::BlockContext block_template_;
+  const crypto::SignatureScheme* scheme_;  // check (i) of every transaction
   txn::ExecutionConfig exec_config_;
   std::unique_ptr<txn::ParallelExecutor> parallel_;
   std::map<std::uint64_t, IndexExecResult> results_;

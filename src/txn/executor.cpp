@@ -9,12 +9,6 @@ Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
                                   const ExecutionConfig& config) {
   // Lazy validation: checks (iii)-(v). Failure -> invalid, no transition.
   if (Status lazy = lazy_validate(tx, db); !lazy) return lazy;
-  // Check (i): signature, raised as an execution-time error when an invalid
-  // transaction slipped past (only possible when eager validation was skipped
-  // or forged by a Byzantine proposer).
-  if (config.verify_signature && !verify_signature(tx, *config.scheme)) {
-    return Status::error("exec: invalid signature (ErrInvalidSig)");
-  }
 
   const Address sender = tx.sender();
   // lazy_validate accepted max_cost(tx), so gas_price * gas_limit fits in

@@ -2,13 +2,15 @@
 // (Alg. 1 lines 32-40): lazy-validate, then ApplyTransaction. Returns an
 // error (no state transition) for *invalid* transactions, which the commit
 // loop discards from the block; a *valid* transaction that merely reverts
-// still consumes gas and is recorded with a failed receipt.
+// still consumes gas and is recorded with a failed receipt. Check (i), the
+// signature (the EVM's ErrInvalidSig), is not made here: the execution
+// oracle verifies a whole superblock in one batch before any transaction
+// reaches apply_transaction (srbb/oracle.hpp).
 #pragma once
 
 #include <vector>
 
 #include "common/status.hpp"
-#include "crypto/signature.hpp"
 #include "evm/interpreter.hpp"
 #include "state/statedb.hpp"
 #include "txn/transaction.hpp"
@@ -28,12 +30,6 @@ struct Receipt {
 };
 
 struct ExecutionConfig {
-  /// Re-check the signature during execution (check (i) of §IV-D: the VM
-  /// raises the equivalent of ErrInvalidSig). Skippable when the caller
-  /// already eagerly validated this transaction.
-  bool verify_signature = true;
-  const crypto::SignatureScheme* scheme = &crypto::SignatureScheme::ed25519();
-
   /// CREATE-time static code validation (evm/analysis): deployments whose
   /// init or runtime code is provably doomed fail with kCodeRejected instead
   /// of entering the interpreter. Compat flag — turn off to accept any
@@ -66,9 +62,9 @@ struct ExecutionConfig {
   evm::analysis::AnalysisCache* hint_cache = nullptr;
 };
 
-/// Execute one transaction. Status error == invalid transaction (lazy
-/// validation or signature failed): state is untouched and the caller should
-/// discard the transaction (Alg. 1 line 23).
+/// Execute one transaction whose signature the caller has already checked.
+/// Status error == invalid transaction (lazy validation failed): state is
+/// untouched and the caller should discard the transaction (Alg. 1 line 23).
 Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
                                   const evm::BlockContext& block,
                                   const ExecutionConfig& config);

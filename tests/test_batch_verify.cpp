@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -210,6 +212,93 @@ TEST(BatchVerifyAdversarial, FastSimSchemeBatchesToo) {
   want[4] = false;
   EXPECT_EQ(fast.verify_batch(items), want);
   EXPECT_EQ(batch_verify_sequential(fast, items), want);
+}
+
+// --- small-order (torsion) vectors ------------------------------------
+// The eight points of order dividing 8, canonically encoded. A signature
+// whose R or A is one of them differs from a valid one only by torsion, so
+// the cofactored equation [8]sB == [8](R + kA) decides it: with s = 0 every
+// pair verifies, whatever the message, while the cofactorless equation
+// sB == R + kA would accept only those where R + kA happens to be the
+// identity. Single verify, the combined batch equation and the bisection
+// leaf must all give the cofactored verdict.
+const char* const kSmallOrder[] = {
+    "0100000000000000000000000000000000000000000000000000000000000000",  // 1
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // 2
+    "0000000000000000000000000000000000000000000000000000000000000000",  // 4
+    "0000000000000000000000000000000000000000000000000000000000000080",  // 4
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",  // 8
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",  // 8
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",  // 8
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",  // 8
+};
+
+std::array<std::uint8_t, 32> small_order(std::size_t i) {
+  const Bytes raw = from_hex(kSmallOrder[i]).value();
+  std::array<std::uint8_t, 32> out{};
+  std::copy(raw.begin(), raw.end(), out.begin());
+  return out;
+}
+
+/// Appends a signature (R = small_order(r), s = `s`) under the public key
+/// small_order(a).
+void add_torsion(Batch& batch, std::size_t r, std::size_t a, std::uint8_t s,
+                 const std::string& text) {
+  batch.messages.push_back(Bytes(text.begin(), text.end()));
+  BatchVerifyItem item;
+  item.message = BytesView{batch.messages.back()};
+  const std::array<std::uint8_t, 32> r_bytes = small_order(r);
+  std::copy(r_bytes.begin(), r_bytes.end(), item.signature.begin());
+  item.signature[32] = s;  // little-endian scalar, the rest zero
+  item.public_key = small_order(a);
+  batch.items.push_back(item);
+}
+
+TEST(BatchVerifyAdversarial, SmallOrderKeysAndNoncesVerifyOnEveryPath) {
+  Batch batch;
+  batch.messages.reserve(64);  // item views alias these buffers
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t a = 0; a < 8; ++a) {
+      add_torsion(batch, r, a, 0, "torsion " + std::to_string(8 * r + a));
+    }
+  }
+  for (std::size_t i = 0; i < batch.items.size(); ++i) {
+    EXPECT_TRUE(ed25519_verify(batch.items[i].message, batch.items[i].signature,
+                               batch.items[i].public_key))
+        << "R " << i / 8 << " A " << i % 8;
+  }
+  expect_all_strategies_match(batch, std::vector<bool>(64, true));
+}
+
+TEST(BatchVerifyAdversarial, TorsionItemsMixedWithGoodAndBad) {
+  // Torsion-only items beside honest and corrupted signatures: the bad items
+  // make every combined equation that covers them fail, so the bisection
+  // descends to single leaves around the torsion items too, and every level
+  // must keep the cofactored verdict.
+  Batch batch = good_batch(40);
+  batch.messages.reserve(60);
+  std::vector<bool> want(40, true);
+  for (std::size_t i = 0; i < 40; i += 9) {
+    batch.items[i].signature[40] ^= 1;
+    want[i] = false;
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    add_torsion(batch, i, 7 - i, 0, "torsion " + std::to_string(i));
+    want.push_back(true);
+  }
+  // A nonzero s with a small-order A and the identity as R leaves
+  // [8]sB != 0, which no torsion can cancel: rejected everywhere.
+  for (std::size_t a = 0; a < 8; ++a) {
+    add_torsion(batch, 0, a, 1, "nonzero s " + std::to_string(a));
+    want.push_back(false);
+  }
+  expect_all_strategies_match(batch, want);
+  for (std::size_t i = 40; i < batch.items.size(); ++i) {
+    EXPECT_EQ(ed25519_verify(batch.items[i].message, batch.items[i].signature,
+                             batch.items[i].public_key),
+              want[i])
+        << "item " << i;
+  }
 }
 
 }  // namespace

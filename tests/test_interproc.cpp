@@ -353,7 +353,6 @@ TEST(InterprocMinGas, EagerValidationGatesOnTheComposedBound) {
   EXPECT_TRUE(eager_validate(at_bound, db, scheme(), vcfg).is_ok());
 
   ExecutionConfig config;
-  config.scheme = &scheme();
   const Transaction generous = invoke(0, 0, kRouter, calldata);
   const Result<Receipt> res = apply_transaction(generous, db, {}, config);
   ASSERT_TRUE(res.is_ok());
@@ -393,7 +392,6 @@ TEST(InterprocMinGas, GuardedDoomedCalleeDoomsTheCaller) {
 
   // Differential: the rejected transaction indeed cannot succeed.
   ExecutionConfig config;
-  config.scheme = &scheme();
   const Result<Receipt> res = apply_transaction(tx, db, {}, config);
   ASSERT_TRUE(res.is_ok());
   EXPECT_FALSE(res.value().success);
@@ -406,7 +404,6 @@ TEST(InterprocSoundness, RouterPredictionsCoverExecution) {
   state::StateDB db = make_state(8);
   AnalysisCache cache;
   ExecutionConfig config;
-  config.scheme = &scheme();
   const evm::BlockContext block{};
 
   std::vector<Transaction> txs;
@@ -456,7 +453,6 @@ TEST(InterprocExecutor, HintedRouterBlockZeroAbortsBitIdentical) {
   }
 
   ExecutionConfig seq_config;
-  seq_config.scheme = &scheme();
   state::StateDB seq_db = make_state(kSenders);
   std::vector<Result<Receipt>> seq;
   for (const Transaction& tx : txs) {
@@ -467,7 +463,6 @@ TEST(InterprocExecutor, HintedRouterBlockZeroAbortsBitIdentical) {
   state::StateDB par_db = make_state(kSenders);
   AnalysisCache cache;
   ExecutionConfig config;
-  config.scheme = &scheme();
   config.analysis_hints = true;
   config.hint_cache = &cache;
   ParallelExecutor executor{4, 3};

@@ -130,7 +130,6 @@ ParallelExecStats run_differential(const std::vector<Transaction>& txs,
                                    std::size_t max_retries = 3,
                                    bool analysis_hints = false) {
   ExecutionConfig config;
-  config.scheme = &scheme();
   evm::analysis::AnalysisCache hint_cache;
   config.analysis_hints = analysis_hints;
   config.hint_cache = &hint_cache;

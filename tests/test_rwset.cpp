@@ -257,7 +257,6 @@ void run_soundness(const std::vector<SoundnessCase>& cases,
   state::StateDB db = make_state(16);
   evm::analysis::AnalysisCache cache;
   ExecutionConfig config;
-  config.scheme = &scheme();
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Transaction& tx = cases[i].tx;
     const PredictedRwSet pred = predict_rwset(tx, db, block, cache);
@@ -385,7 +384,6 @@ TEST(RwSetMetrics, CountersReconcileExactly) {
   executor.set_metrics(&registry);
 
   ExecutionConfig config;
-  config.scheme = &scheme();
   config.analysis_hints = true;
   config.hint_cache = &cache;
 
@@ -445,7 +443,6 @@ TEST(RwSetMetrics, WrongHintsTripTheGuardButNotTheReceipts) {
   // those speculations (violation counter), demote them to blind mode, and
   // still produce receipts identical to sequential execution.
   ExecutionConfig config;
-  config.scheme = &scheme();
 
   std::vector<Transaction> txs;
   for (std::uint64_t s = 0; s < 6; ++s) {

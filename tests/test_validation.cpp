@@ -260,19 +260,6 @@ TEST(Executor, TransferMovesValueAndChargesGas) {
   EXPECT_EQ(w.db.balance(w.block.coinbase), U256{21'000});
 }
 
-TEST(Executor, InvalidSignatureIsExecutionError) {
-  World w;
-  Transaction tx = w.transfer(w.alice, w.bob.address(), 1000, 0);
-  tx.signature[3] ^= 1;
-  ExecutionConfig cfg;
-  auto receipt = apply_transaction(tx, w.db, w.block, cfg);
-  EXPECT_FALSE(receipt.is_ok());
-  EXPECT_NE(receipt.message().find("ErrInvalidSig"), std::string::npos);
-  // No state transition for invalid transactions.
-  EXPECT_EQ(w.db.nonce(w.alice.address()), 0u);
-  EXPECT_EQ(w.db.balance(w.bob.address()), U256{10'000'000});
-}
-
 TEST(Executor, WrongNonceIsInvalidNoTransition) {
   World w;
   const Transaction tx = w.transfer(w.alice, w.bob.address(), 1000, 5);
@@ -353,16 +340,6 @@ TEST(Executor, RevertedInvokeStillConsumesGasAndNonce) {
   EXPECT_FALSE(bob_receipt.value().success);  // ...that reverted
   EXPECT_GT(bob_receipt.value().gas_used, 21'000u);
   EXPECT_EQ(w.db.nonce(w.bob.address()), 1u);  // nonce still consumed
-}
-
-TEST(Executor, SkipSignatureCheckWhenPreValidated) {
-  World w;
-  Transaction tx = w.transfer(w.alice, w.bob.address(), 10, 0);
-  tx.signature[0] ^= 1;
-  ExecutionConfig cfg;
-  cfg.verify_signature = false;  // models a node that eagerly validated
-  auto receipt = apply_transaction(tx, w.db, w.block, cfg);
-  EXPECT_TRUE(receipt.is_ok());
 }
 
 TEST(Executor, GasRefundForUnusedGas) {

@@ -14,7 +14,11 @@
 #      accounts) beats the from-scratch rebuild (the state-stack claim);
 #   6. on the two-contract router regime the composed interprocedural hints
 #      schedule with zero aborts and zero sequential fallbacks while blind
-#      speculation aborts (the summary-composition claim).
+#      speculation aborts (the summary-composition claim);
+#   7. executing a 2048-transfer superblock through the real execution
+#      oracle (one batch signature check, execution, flat root) costs less
+#      wall time per transaction than one single Ed25519 verify (the
+#      batched check (i) claim).
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -25,7 +29,7 @@ build_dir="${1:-$repo_root/build-perf}"
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j "$(nproc)" \
       --target bench_micro_crypto bench_micro_pool bench_micro_codec \
-               bench_micro_parallel_exec bench_micro_state
+               bench_micro_parallel_exec bench_micro_state bench_micro_oracle
 
 out="$build_dir/perf_smoke"
 mkdir -p "$out"
@@ -44,6 +48,9 @@ mkdir -p "$out"
 "$build_dir/bench/bench_micro_state" --benchmark_min_time=0.1 \
     --benchmark_filter='BM_StateRootMpt(Incremental|Full)/100000$' \
     --benchmark_format=json > "$out/state.json"
+"$build_dir/bench/bench_micro_oracle" --benchmark_min_time=0.5 \
+    --benchmark_filter='BM_OracleExecute/accounts:10000/' \
+    --benchmark_format=json > "$out/oracle.json"
 
 python3 - "$out" <<'EOF'
 import json
@@ -91,8 +98,8 @@ check("rlp-view / rlp-copying",
 #    aborts/block where blind Block-STM burns its retry budget (~4/block).
 #    Gate: strictly fewer aborts, with a deterministic count this is exact.
 exec_aborts = load("exec.json", field="aborts_per_block")
-blind = exec_aborts["BM_ParallelExec/workload:2/workers:4"]
-hinted = exec_aborts["BM_HintedExec/workload:2/workers:4"]
+blind = exec_aborts["BM_ParallelExec/workload:2/workers:4/real_time"]
+hinted = exec_aborts["BM_HintedExec/workload:2/workers:4/real_time"]
 print(f"  hot-slot aborts/block: blind {blind:.2f}, hinted {hinted:.2f}")
 if not hinted < blind:
     print("  hinted-aborts / blind-aborts: FAIL (hinted must be strictly lower)")
@@ -114,10 +121,10 @@ check("mpt-incremental-1e5 / mpt-full-1e5",
 #    summary resolves the cross-contract write, so hints must eliminate both
 #    aborts and sequential fallbacks entirely; blind speculation aborts and
 #    falls back. Deterministic schedule, so the zero is exact.
-blind_r = exec_aborts["BM_ParallelExec/workload:8/workers:4"]
-hinted_r = exec_aborts["BM_HintedExec/workload:8/workers:4"]
+blind_r = exec_aborts["BM_ParallelExec/workload:8/workers:4/real_time"]
+hinted_r = exec_aborts["BM_HintedExec/workload:8/workers:4/real_time"]
 exec_fallback = load("exec.json", field="fallback_txs")
-hinted_r_fb = exec_fallback["BM_HintedExec/workload:8/workers:4"]
+hinted_r_fb = exec_fallback["BM_HintedExec/workload:8/workers:4/real_time"]
 print(f"  router aborts/block: blind {blind_r:.2f}, hinted {hinted_r:.2f}; "
       f"hinted fallback_txs {hinted_r_fb:.2f}")
 if not (hinted_r == 0 and hinted_r_fb == 0 and blind_r > 0):
@@ -126,6 +133,22 @@ if not (hinted_r == 0 and hinted_r_fb == 0 and blind_r > 0):
     failures.append("router-hinted")
 else:
     print("  router: hinted aborts/fallbacks == 0 < blind aborts [ok]")
+
+# 7. Oracle superblock execution per transaction (batch signature check,
+#    execution, flat root at 1e4 accounts) vs one single verify. The oracle
+#    checks the 2048 signatures with one verify_batch call on its
+#    process-wide pool: measured 0.17-0.24 on 4 cores and 0.46-0.48 pinned
+#    to one core (the multi-scalar batch alone costs ~0.35 of a single
+#    verify per item). Checking each transaction with its own verify cannot
+#    pass: every transaction pays a whole verify plus its execution
+#    (measured 1.06-1.40 on 4 cores, 1.13-1.16 on one).
+NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+with open(f"{out}/oracle.json") as fh:
+    oracle = {b["name"]: b["real_time"] * NS_PER[b["time_unit"]]
+              for b in json.load(fh)["benchmarks"]}
+oracle_per_tx = oracle["BM_OracleExecute/accounts:10000/real_time"] / 2048.0
+check("oracle-execute-per-tx-1e4 / single-verify",
+      oracle_per_tx / crypto["BM_Ed25519_Verify"], 0.80)
 
 if failures:
     print(f"perf_smoke: FAILED ({', '.join(failures)})")

@@ -15,6 +15,6 @@ cmake --build "$build_dir" -j "$(nproc)" \
       --target test_parallel_executor test_thread_pool \
                test_oracle test_chaos test_validation_pipeline \
                test_batch_verify test_rwset test_reliability \
-               test_state_backend test_interproc
+               test_state_backend test_interproc test_oracle_signature_batch
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|DeferredRoot|Interproc'
+      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|DeferredRoot|Interproc|OracleSignatureBatch'
