@@ -51,7 +51,15 @@ void BM_Keccak256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Keccak256)->Arg(64)->Arg(256)->Arg(4096);
+// 32 B: a storage key or code hash; 136 B: one full rate block (two
+// permutations with padding); 532 B: a full 16-child MPT branch node.
+BENCHMARK(BM_Keccak256)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(136)
+    ->Arg(256)
+    ->Arg(532)
+    ->Arg(4096);
 
 void BM_Ed25519_Sign(benchmark::State& state) {
   const auto kp = ed25519_keypair_from_id(1);

@@ -1,20 +1,32 @@
 // State-stack microbenchmarks (docs/STATE.md, EXPERIMENTS.md "State stack"):
 //
 //   BM_StateRootMptIncremental / BM_StateRootMptFull
-//       incremental node-cached MPT root after a small write burst vs a
-//       from-scratch rebuild, swept over 10^4..10^6 accounts. The ratio is
-//       gated by tools/perf_smoke.sh (incremental must win by >=10x at 10^5).
+//       StateDB::state_root() after a small write burst vs the from-scratch
+//       reference rebuild (tests/support), swept over 10^4..10^6 accounts.
+//       The ratio is gated by tools/perf_smoke.sh (incremental must win by
+//       >=10x at 10^5).
+//   BM_StateRootBuild
+//       the first root at 2x10^5 accounts with scattered addresses, which
+//       builds the trie: time, and the bytes it holds per account.
 //   BM_HotRead_Resident
 //       hot-read latency of the flat account map.
-//   BM_CommitPath
-//       per-block commit + root publication with deferred roots off/on —
-//       the flat-per-tx-latency evidence for the DIABLO-shaped run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdio>
+
+#include <unistd.h>
+
+// mallinfo2() exists from glibc 2.33 on.
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+#define SRBB_HAS_MALLINFO2 1
+#include <malloc.h>
+#endif
 
 #include "common/rng.hpp"
+#include "crypto/keccak.hpp"
 #include "state/statedb.hpp"
+#include "support/reference_trie.hpp"
 
 namespace {
 
@@ -46,11 +58,9 @@ void populate(StateDB& db, std::uint64_t n) {
 
 void BM_StateRootMptIncremental(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
-  StateConfig cfg;
-  cfg.trie_node_cache_limit = 4 * n;  // memoized refs stay resident
-  StateDB db{cfg};
+  StateDB db;
   populate(db, n);
-  benchmark::DoNotOptimize(db.state_root_mpt());  // build once outside timing
+  benchmark::DoNotOptimize(db.state_root());  // build once outside timing
 
   Rng rng{n};
   for (auto _ : state) {
@@ -63,7 +73,7 @@ void BM_StateRootMptIncremental(benchmark::State& state) {
                      U256{1 + rng.next_below(100)});
     }
     db.commit();
-    benchmark::DoNotOptimize(db.state_root_mpt());
+    benchmark::DoNotOptimize(db.state_root());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -82,7 +92,7 @@ void BM_StateRootMptFull(benchmark::State& state) {
   for (auto _ : state) {
     db.add_balance(addr_of(rng.next_below(n)), U256{1});
     db.commit();
-    benchmark::DoNotOptimize(db.state_root_mpt_full());
+    benchmark::DoNotOptimize(state_root_mpt_full(db));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -103,45 +113,64 @@ void BM_HotRead_Resident(benchmark::State& state) {
 }
 BENCHMARK(BM_HotRead_Resident)->Arg(100'000);
 
-void BM_CommitPath(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  const bool defer = state.range(1) != 0;
-  StateConfig cfg;
-  cfg.trie_node_cache_limit = 4 * n;
-  StateDB db{cfg};
-  populate(db, n);
-  benchmark::DoNotOptimize(db.state_root_mpt());
-
-  Rng rng{n};
-  std::uint64_t index = 0;
-  Hash32 last_root{};
-  for (auto _ : state) {
-    // One DIABLO-shaped block: 128 transfers over a uniform account set.
-    for (int i = 0; i < 128; ++i) {
-      const Address from = addr_of(rng.next_below(n));
-      const Address to = addr_of(rng.next_below(n));
-      db.sub_balance(from, U256{1});
-      db.add_balance(to, U256{1});
-      db.increment_nonce(from);
-    }
-    db.commit();
-    // Deferred mode publishes the memoized root except every 8th block —
-    // the oracle's StateConfig::root_interval default.
-    if (!defer || index % 8 == 0) {
-      last_root = db.state_root_mpt();
-    }
-    benchmark::DoNotOptimize(last_root);
-    ++index;
-  }
-  state.SetItemsProcessed(state.iterations() * 128);
+/// Resident set size of this process, from /proc/self/statm.
+std::size_t rss_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  const int read = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return read == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) : 0;
 }
-BENCHMARK(BM_CommitPath)
-    ->Args({10'000, 0})
-    ->Args({10'000, 1})
-    ->Args({100'000, 0})
-    ->Args({100'000, 1})
-    ->Args({1'000'000, 0})
-    ->Args({1'000'000, 1})
-    ->Unit(benchmark::kMicrosecond);
+
+/// Heap bytes in use (glibc), mmapped blocks included; 0 elsewhere.
+std::size_t heap_bytes() {
+#if defined(SRBB_HAS_MALLINFO2)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+// One iteration: the first root builds the trie, so repeating it would
+// time a rebuild into memory the previous trie freed and read no RSS growth.
+void BM_StateRootBuild(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  StateDB db;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint8_t seed[8];
+    put_be64(seed, i);
+    Address a;
+    const Hash32 h = crypto::Keccak256::hash(BytesView{seed, 8});
+    std::copy(h.data.begin(), h.data.begin() + 20, a.data.begin());
+    db.add_balance(a, U256{1'000'000 + i});
+  }
+  db.commit();
+  double rss_per_account = 0;
+  double heap_per_account = 0;
+  for (auto _ : state) {
+#if defined(SRBB_HAS_MALLINFO2)
+    // Hand free heap pages back first, so the trie's nodes cannot land in
+    // pages that are already resident and read as no RSS growth.
+    malloc_trim(0);
+#endif
+    const std::size_t rss_before = rss_bytes();
+    const std::size_t heap_before = heap_bytes();
+    benchmark::DoNotOptimize(db.state_root());
+    rss_per_account = static_cast<double>(rss_bytes() - rss_before) /
+                      static_cast<double>(n);
+    heap_per_account = static_cast<double>(heap_bytes() - heap_before) /
+                       static_cast<double>(n);
+  }
+  state.counters["rss_bytes_per_account"] = rss_per_account;
+  state.counters["heap_bytes_per_account"] = heap_per_account;
+}
+BENCHMARK(BM_StateRootBuild)
+    ->ArgName("accounts")
+    ->Arg(200'000)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -76,4 +76,9 @@ void ThreadPool::worker_loop() {
   }
 }
 
+ThreadPool& shared_pool() {
+  static ThreadPool pool;
+  return pool;
+}
+
 }  // namespace srbb

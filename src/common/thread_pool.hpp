@@ -44,4 +44,11 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// The process-wide pool, one worker per core, created on first use. Batch
+/// signature checks and state-root re-hashing share it: a simulation holds
+/// an execution oracle per validator, and a pool each would multiply the
+/// threads without adding cores. Never call parallel_for on it from one of
+/// its own workers.
+ThreadPool& shared_pool();
+
 }  // namespace srbb

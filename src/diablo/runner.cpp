@@ -172,8 +172,13 @@ RunResult run_experiment(const RunConfig& config) {
   }
 
   evm::BlockContext block_template;
-  auto shared_oracle =
-      std::make_shared<node::ExecutionOracle>(genesis, block_template, scheme());
+  // Shared execution: one oracle for every validator. Replicated execution
+  // gives each validator its own below, and builds none here.
+  const auto shared_oracle =
+      config.replicated_execution
+          ? nullptr
+          : std::make_shared<node::ExecutionOracle>(genesis, block_template,
+                                                    scheme());
 
   // --- validators -----------------------------------------------------------
   rpm::RpmConfig rpm_config;

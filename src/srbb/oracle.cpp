@@ -7,15 +7,6 @@ namespace srbb::node {
 
 namespace {
 
-// Check (i) of every superblock runs on one process-wide pool with one worker
-// per core, created on first use. It is not per oracle: a simulation holds a
-// replicated oracle per validator, and a pool each would multiply the
-// threads without adding cores.
-ThreadPool& verify_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
 // Shared by the sequential and parallel paths so both produce identical
 // per-transaction accounting.
 TxOutcome outcome_from(const txn::TxPtr& tx,
@@ -47,20 +38,17 @@ ExecutionOracle::ExecutionOracle(const GenesisSpec& genesis,
 ExecutionOracle::ExecutionOracle(const GenesisSpec& genesis,
                                  evm::BlockContext block_template,
                                  const crypto::SignatureScheme& scheme,
-                                 state::StateConfig state_config)
+                                 state::StateConfig /*state_config*/)
     : genesis_(genesis),
-      state_config_(state_config),
-      db_(state_config),
       block_template_(block_template),
       scheme_(&scheme) {
   genesis_.apply(db_);
 }
 
 void ExecutionOracle::reset() {
-  db_ = state::StateDB{state_config_};
+  db_ = state::StateDB{};
   genesis_.apply(db_);
   results_.clear();
-  has_last_root_ = false;
   root_stats_ = RootStats{};
 }
 
@@ -92,7 +80,7 @@ const IndexExecResult& ExecutionOracle::execute(
     }
   }
   const std::vector<bool> signed_ok =
-      crypto::verify_batch(*scheme_, items, &verify_pool());
+      crypto::verify_batch(*scheme_, items, &shared_pool());
 
   // The parallel path hands the signed transactions, still in canonical
   // order, to the optimistic executor in one call.
@@ -140,21 +128,8 @@ const IndexExecResult& ExecutionOracle::execute(
     result.blocks.push_back(std::move(block_result));
   }
   db_.commit();
-  // Deferred roots (state/config.hpp): recompute only on interval
-  // boundaries, republish the last root in between. Index 0 (and any index
-  // before the first computed root) always computes.
-  const bool recompute = !state_config_.defer_root || !has_last_root_ ||
-                         state_config_.root_interval == 0 ||
-                         index % state_config_.root_interval == 0;
-  if (recompute) {
-    result.state_root = db_.state_root();
-    last_root_ = result.state_root;
-    has_last_root_ = true;
-    ++root_stats_.computed;
-  } else {
-    result.state_root = last_root_;
-    ++root_stats_.deferred;
-  }
+  result.state_root = db_.state_root();
+  ++root_stats_.computed;
   SRBB_TRACE(ctx.trace, ctx.at, 0, ctx.node, "commit", "superblock.exec",
              "index", index, "valid", result.total_valid);
   return results_.emplace(index, std::move(result)).first->second;

@@ -20,6 +20,7 @@
 #include "evm/types.hpp"
 #include "obs/trace.hpp"
 #include "srbb/genesis.hpp"
+#include "state/config.hpp"
 #include "state/statedb.hpp"
 #include "txn/block.hpp"
 #include "txn/executor.hpp"
@@ -54,9 +55,7 @@ class ExecutionOracle {
  public:
   ExecutionOracle(const GenesisSpec& genesis, evm::BlockContext block_template,
                   const crypto::SignatureScheme& scheme);
-  /// Same, with state-stack knobs: commitment cache bounds and deferred root
-  /// computation (state/config.hpp). The default StateConfig reproduces the
-  /// three-argument constructor exactly.
+  /// Same; StateConfig has no fields (state/config.hpp).
   ExecutionOracle(const GenesisSpec& genesis, evm::BlockContext block_template,
                   const crypto::SignatureScheme& scheme,
                   state::StateConfig state_config);
@@ -97,11 +96,8 @@ class ExecutionOracle {
   txn::ExecutionConfig& exec_config() { return exec_config_; }
   const txn::ExecutionConfig& exec_config() const { return exec_config_; }
 
-  /// Deferred-root accounting (state/config.hpp): with defer_root on, the
-  /// oracle recomputes the state root only every root_interval indices and
-  /// republishes the last computed root in between, keeping the O(n·log n)
-  /// digest off most commit paths. Pure function of (state, index, config),
-  /// so replicas sharing a config still converge on identical result roots.
+  /// Root accounting: every executed index computes its state root, so
+  /// `computed` counts executions and `deferred` is always 0.
   struct RootStats {
     std::uint64_t computed = 0;
     std::uint64_t deferred = 0;
@@ -110,15 +106,12 @@ class ExecutionOracle {
 
  private:
   GenesisSpec genesis_;  // kept so reset() can rebuild the world state
-  state::StateConfig state_config_;
   state::StateDB db_;
   evm::BlockContext block_template_;
   const crypto::SignatureScheme* scheme_;  // check (i) of every transaction
   txn::ExecutionConfig exec_config_;
   std::unique_ptr<txn::ParallelExecutor> parallel_;
   std::map<std::uint64_t, IndexExecResult> results_;
-  Hash32 last_root_;
-  bool has_last_root_ = false;
   RootStats root_stats_;
 };
 

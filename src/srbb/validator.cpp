@@ -65,15 +65,13 @@ void ValidatorNode::register_obs() {
     ctr_spec_aborts_ = &config_.metrics->counter("exec.aborts");
     ctr_fallback_txs_ = &config_.metrics->counter("exec.fallback_txs");
     g_roots_computed_ = &config_.metrics->gauge("state.roots_computed");
-    g_roots_deferred_ = &config_.metrics->gauge("state.roots_deferred");
   }
 }
 
 void ValidatorNode::publish_state_obs() {
   if (g_roots_computed_ == nullptr) return;
-  const ExecutionOracle::RootStats& roots = oracle_->root_stats();
-  g_roots_computed_->set(static_cast<std::int64_t>(roots.computed));
-  g_roots_deferred_->set(static_cast<std::int64_t>(roots.deferred));
+  g_roots_computed_->set(
+      static_cast<std::int64_t>(oracle_->root_stats().computed));
 }
 
 void ValidatorNode::start() {

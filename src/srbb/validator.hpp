@@ -295,7 +295,6 @@ class ValidatorNode : public sim::SimNode {
   // from the oracle after each commit, published as gauges so a shared
   // oracle is sampled, not double-counted.
   obs::Gauge* g_roots_computed_ = nullptr;
-  obs::Gauge* g_roots_deferred_ = nullptr;
   void publish_state_obs();
   std::map<std::uint64_t, SimTime> round_began_at_;
   std::map<std::uint64_t, SimTime> decided_at_;

@@ -31,23 +31,24 @@ std::vector<Address> MemoryBackend::keys() const {
 // --- account record codec ---------------------------------------------------
 
 Bytes encode_account_record(const Account& account) {
+  const StorageMap& storage = account.storage();
   std::vector<Hash32> slots;
-  slots.reserve(account.storage.size());
-  for (const auto& [slot, value] : account.storage) slots.push_back(slot);
+  slots.reserve(storage.size());
+  for (const auto& [slot, value] : storage) slots.push_back(slot);
   std::sort(slots.begin(), slots.end());
 
   rlp::ListBuilder storage_list;
   for (const Hash32& slot : slots) {
     rlp::ListBuilder entry;
     entry.add_bytes(slot.view());
-    entry.add_u256(account.storage.at(slot));
+    entry.add_u256(storage.at(slot));
     storage_list.add_raw(entry.build());
   }
 
   rlp::ListBuilder record;
   record.add_u64(account.nonce);
   record.add_u256(account.balance);
-  record.add_bytes(account.code);
+  record.add_bytes(account.code());
   record.add_raw(storage_list.build());
   return record.build();
 }
@@ -71,9 +72,11 @@ std::optional<Account> decode_account_record(BytesView record) {
   if (!balance.is_ok()) return std::nullopt;
   account.balance = balance.value();
   if (code_item.is_list()) return std::nullopt;
-  account.code.assign(code_item.payload().begin(), code_item.payload().end());
-  account.code_keccak =
-      account.code.empty() ? Hash32{} : crypto::Keccak256::hash(account.code);
+  if (!code_item.payload().empty()) {
+    Account::Contract& contract = account.contract_data();
+    contract.code.assign(code_item.payload().begin(), code_item.payload().end());
+    contract.code_keccak = crypto::Keccak256::hash(contract.code);
+  }
 
   if (!storage.is_list()) return std::nullopt;
   Hash32 prev_slot;
@@ -93,7 +96,7 @@ std::optional<Account> decode_account_record(BytesView record) {
     if (!value.is_ok()) return std::nullopt;
     // EVM zero-write semantics: a zero-valued slot never appears in the map.
     if (value.value().is_zero()) return std::nullopt;
-    account.storage.emplace(slot, value.value());
+    account.contract_data().storage.emplace(slot, value.value());
     entry = entry.next_sibling();
   }
   return account;

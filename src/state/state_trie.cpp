@@ -1,148 +1,166 @@
 #include "state/state_trie.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <cstring>
 
-#include "codec/rlp.hpp"
 #include "common/invariant.hpp"
-#include "crypto/keccak.hpp"
 
 namespace srbb::state {
 
 namespace {
-const Hash32& keccak_of_empty() {
-  static const Hash32 hash = crypto::Keccak256::hash(BytesView{});
-  return hash;
-}
-}  // namespace
 
-Bytes encode_account_leaf(const Account& account, const Hash32& storage_root) {
-  rlp::ListBuilder body;
-  body.add_u64(account.nonce);
-  body.add_u256(account.balance);
-  body.add_bytes(storage_root.view());
-  // Account::code_keccak is the zero hash for code-less accounts; the leaf
-  // wants keccak("") there, same as hashing the code directly.
-  const Hash32& code_hash =
-      account.code.empty() ? keccak_of_empty() : account.code_keccak;
-  body.add_bytes(code_hash.view());
-  return body.build();
-}
-
-Hash32 storage_trie_root(const Account& account) {
-  if (account.storage.empty()) return empty_trie_root();
-  std::vector<Hash32> slots;
-  slots.reserve(account.storage.size());
-  for (const auto& [slot, value] : account.storage) slots.push_back(slot);
-  std::sort(slots.begin(), slots.end());
-  MerklePatriciaTrie trie;
-  for (const Hash32& slot : slots) {
-    trie.put(slot.view(), rlp::encode_u256(account.storage.at(slot)));
+/// Appends the RLP string item of a big-endian integer, leading zeros
+/// stripped (the canonical RLP integer).
+void put_uint(Bytes& out, const std::uint8_t* be, std::size_t size) {
+  while (size > 0 && *be == 0) {
+    ++be;
+    --size;
   }
-  return trie.root_hash();
-}
-
-void IncrementalStateTrie::configure(std::size_t storage_trie_cache,
-                                     std::size_t node_cache_limit) {
-  storage_cache_ = storage_trie_cache;
-  account_trie_.set_node_cache_limit(node_cache_limit);
-  evict_storage_tries();
-}
-
-void IncrementalStateTrie::update(const Address& addr, const Account* account,
-                                  const DirtyInfo& dirty) {
-  ++stats_.leaf_updates;
-  if (account == nullptr) {
-    account_trie_.erase(addr.view());
-    drop_storage_trie(addr);
-    storage_roots_.erase(addr);
+  if (size == 1 && *be < 0x80) {
+    out.push_back(*be);
     return;
   }
-  const Hash32 storage_root = storage_root_for(addr, *account, dirty);
-  account_trie_.put(addr.view(), encode_account_leaf(*account, storage_root));
+  out.push_back(static_cast<std::uint8_t>(0x80 + size));
+  out.insert(out.end(), be, be + size);
 }
 
-Hash32 IncrementalStateTrie::storage_root_for(const Address& addr,
-                                              const Account& account,
-                                              const DirtyInfo& dirty) {
-  if (account.storage.empty()) {
-    drop_storage_trie(addr);
-    storage_roots_.erase(addr);
-    return empty_trie_root();
+void put_hash(Bytes& out, const Hash32& hash) {
+  out.push_back(0x80 + 32);
+  out.insert(out.end(), hash.data.begin(), hash.data.end());
+}
+
+/// Leaves of one account's storage trie: rlp(value) of each slot.
+class SlotValues final : public TrieValues {
+ public:
+  explicit SlotValues(const StorageMap& slots) : slots_(slots) {}
+  void value(BytesView key, Bytes& out) const override {
+    const auto it = slots_.find(Hash32{key});
+    SRBB_CHECK(it != slots_.end());
+    std::uint8_t be[32];
+    it->second.to_be(be);
+    out.clear();
+    put_uint(out, be, 32);
   }
 
-  const auto it = storage_tries_.find(addr);
-  if (it != storage_tries_.end() && !dirty.full_storage) {
-    // Materialized: apply only the dirty slots.
-    MerklePatriciaTrie& trie = it->second.trie;
-    for (const Hash32& slot : dirty.slots) {
-      const auto value = account.storage.find(slot);
-      if (value == account.storage.end()) {
-        trie.erase(slot.view());
-      } else {
-        trie.put(slot.view(), rlp::encode_u256(value->second));
-      }
+ private:
+  const StorageMap& slots_;
+};
+
+}  // namespace
+
+void encode_account_leaf(const Account& account, const Hash32& storage_root,
+                         Bytes& out) {
+  // Account::Contract::code_keccak is the zero hash for code-less accounts;
+  // the leaf wants keccak("") there, same as hashing the code directly.
+  const Hash32& code_hash = account.code().empty()
+                                ? empty_code_keccak()
+                                : account.contract->code_keccak;
+  std::uint8_t nonce[8];
+  put_be64(nonce, account.nonce);
+  std::uint8_t balance[32];
+  account.balance.to_be(balance);
+  // The two hashes alone take 66 bytes and every item fits in 33: the
+  // payload is always 56..255 bytes, a 0xf8 list with one length byte.
+  out.assign({0xf8, 0});
+  put_uint(out, nonce, sizeof nonce);
+  put_uint(out, balance, sizeof balance);
+  put_hash(out, storage_root);
+  put_hash(out, code_hash);
+  out[1] = static_cast<std::uint8_t>(out.size() - 2);
+}
+
+/// Leaves of the account trie, each storage root read from the
+/// commitment's storage tries (refreshed before the account trie).
+class StateCommitment::AccountValues final : public TrieValues {
+ public:
+  AccountValues(const AccountMap& accounts, const StorageTries& storage)
+      : accounts_(accounts), storage_(storage) {}
+
+  void value(BytesView key, Bytes& out) const override {
+    const Address addr{key};
+    const auto it = accounts_.find(addr);
+    SRBB_CHECK(it != accounts_.end());
+    const Account& account = it->second;
+    encode_account_leaf(account,
+                        account.storage().empty() ? empty_trie_root()
+                                                  : storage_.at(addr).root,
+                        out);
+  }
+
+ private:
+  const AccountMap& accounts_;
+  const StorageTries& storage_;
+};
+
+namespace {
+
+/// Views of the keys of `map` (which must outlive them), sorted.
+std::vector<BytesView> sorted_key_views(const auto& map) {
+  std::vector<BytesView> keys;
+  keys.reserve(map.size());
+  for (const auto& [key, value] : map) keys.push_back(key.view());
+  std::sort(keys.begin(), keys.end(), [](BytesView a, BytesView b) {
+    return std::memcmp(a.data(), b.data(), a.size()) < 0;  // equal sizes
+  });
+  return keys;
+}
+
+}  // namespace
+
+void StateCommitment::build_storage(Storage& storage, const StorageMap& slots) {
+  storage.trie.build(sorted_key_views(slots));
+  storage.stale = true;
+}
+
+void StateCommitment::build(const AccountMap& accounts) {
+  storage_.clear();
+  for (const auto& [addr, account] : accounts) {
+    if (!account.storage().empty()) {
+      build_storage(storage_[addr], account.storage());
     }
-    touch(addr);
-    const Hash32 root = trie.root_hash();
-    storage_roots_[addr] = root;
-    return root;
   }
+  accounts_.build(sorted_key_views(accounts));
+}
 
-  if (it == storage_tries_.end() && !dirty.full_storage && dirty.slots.empty()) {
-    // Leaf-only change (nonce/balance/code): the memoized root still holds.
-    const auto memo = storage_roots_.find(addr);
-    if (memo != storage_roots_.end()) {
-      ++stats_.storage_root_memo_hits;
-      return memo->second;
+void StateCommitment::update(const AccountMap& accounts, const Address& addr,
+                             const DirtyInfo& dirty) {
+  const auto it = accounts.find(addr);
+  if (it == accounts.end()) {
+    accounts_.erase(addr.view());
+    storage_.erase(addr);
+    return;
+  }
+  accounts_.put(addr.view());
+  const StorageMap& slots = it->second.storage();
+  if (slots.empty()) {
+    storage_.erase(addr);
+    return;
+  }
+  if (dirty.storage_reset) {
+    build_storage(storage_[addr], slots);
+    return;
+  }
+  if (dirty.slots.empty()) return;
+  // Between roots every storage change is recorded as a dirty slot, so an
+  // account without an entry had no storage at the last root.
+  Storage& storage = storage_[addr];
+  for (const Hash32& slot : dirty.slots) {
+    if (slots.contains(slot)) {
+      storage.trie.put(slot.view());
+    } else {
+      storage.trie.erase(slot.view());
     }
   }
+  storage.stale = true;
+}
 
-  // Rebuild from the flat storage map (first sight, post-eviction write, or
-  // a full_storage change).
-  drop_storage_trie(addr);
-  std::vector<Hash32> slots;
-  slots.reserve(account.storage.size());
-  for (const auto& [slot, value] : account.storage) slots.push_back(slot);
-  std::sort(slots.begin(), slots.end());
-  StorageEntry entry;
-  for (const Hash32& slot : slots) {
-    entry.trie.put(slot.view(), rlp::encode_u256(account.storage.at(slot)));
+Hash32 StateCommitment::root_hash(const AccountMap& accounts) {
+  for (auto& [addr, storage] : storage_) {
+    if (!storage.stale) continue;
+    storage.root = storage.trie.root_hash(SlotValues{accounts.at(addr).storage()});
+    storage.stale = false;
   }
-  ++stats_.storage_trie_rebuilds;
-  const Hash32 root = entry.trie.root_hash();
-  entry.tick = ++tick_;
-  lru_.emplace(entry.tick, addr);
-  storage_tries_.emplace(addr, std::move(entry));
-  storage_roots_[addr] = root;
-  evict_storage_tries();
-  return root;
-}
-
-void IncrementalStateTrie::drop_storage_trie(const Address& addr) {
-  const auto it = storage_tries_.find(addr);
-  if (it == storage_tries_.end()) return;
-  lru_.erase(it->second.tick);
-  storage_tries_.erase(it);
-}
-
-void IncrementalStateTrie::touch(const Address& addr) {
-  const auto it = storage_tries_.find(addr);
-  SRBB_CHECK(it != storage_tries_.end());
-  lru_.erase(it->second.tick);
-  it->second.tick = ++tick_;
-  lru_.emplace(it->second.tick, addr);
-}
-
-void IncrementalStateTrie::evict_storage_tries() {
-  if (storage_cache_ == 0) return;
-  while (storage_tries_.size() > storage_cache_) {
-    const auto oldest = lru_.begin();
-    SRBB_CHECK(oldest != lru_.end());
-    storage_tries_.erase(oldest->second);  // storage_roots_ memo is kept
-    lru_.erase(oldest);
-    ++stats_.storage_trie_evictions;
-  }
+  return accounts_.root_hash(AccountValues{accounts, storage_});
 }
 
 }  // namespace srbb::state

@@ -1,25 +1,17 @@
-// Incremental Ethereum-shaped state commitment (docs/STATE.md).
+// The world-state commitment (docs/STATE.md): a Merkle Patricia Trie over
+// accounts, each leaf rlp([nonce, balance, storage_root, keccak(code)]),
+// with a nested storage trie per account that has storage. Both levels are
+// LeanTries (trie.hpp): they hold keys only and re-encode leaves from
+// StateDB's flat maps, so the commitment copies no account or slot value.
 //
-// The commitment is a Merkle Patricia Trie over accounts — each leaf
-// rlp([nonce, balance, storage_root, keccak(code)]) with a nested storage
-// trie per contract — exactly the shape StateDB::state_root_mpt() has always
-// produced, but maintained incrementally: StateDB feeds the set of accounts
-// (and storage slots) dirtied since the last root, and only those leaves and
-// storage sub-tries are re-synced. Combined with the per-node hash memos
-// inside MerklePatriciaTrie, a root after k account mutations costs
-// O(k * depth) node hashes instead of a full O(n) rebuild.
-//
-// Memory is bounded on two axes: the account trie's memo pool via
-// StateConfig::trie_node_cache_limit, and the number of *materialized*
-// per-account storage tries via StateConfig::storage_trie_cache (LRU; an
-// evicted account keeps only its memoized storage-root hash, and the next
-// write to its storage rebuilds the trie from the flat state).
+// StateDB feeds it the accounts (and storage slots) written since the last
+// root; only those keys are re-synced and only the branches above them
+// re-hashed, so a root after k account writes costs O(k · depth) node
+// hashes instead of an O(n) rebuild.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "state/account.hpp"
@@ -27,71 +19,46 @@
 
 namespace srbb::state {
 
+using AccountMap = std::unordered_map<Address, Account, AddressHasher>;
+
 /// What StateDB knows about an account's storage since the last sync.
 struct DirtyInfo {
-  /// Storage may have changed in unknown ways (e.g. a reverted
-  /// SELFDESTRUCT restored the whole account) — rebuild the storage trie.
-  bool full_storage = false;
-  /// Slots that may have changed (sorted: sync order is deterministic).
-  std::set<Hash32> slots;
+  /// The storage may have changed in unknown ways (SELFDESTRUCT, or the
+  /// revert of one): rebuild the account's storage trie.
+  bool storage_reset = false;
+  /// Slots that may have changed (repeats allowed).
+  std::vector<Hash32> slots;
 };
 
-/// rlp([nonce, balance, storage_root, keccak(code)]) — the account leaf.
-Bytes encode_account_leaf(const Account& account, const Hash32& storage_root);
-/// From-scratch storage-trie root over an account's flat storage map.
-Hash32 storage_trie_root(const Account& account);
+/// Replaces `out` with rlp([nonce, balance, storage_root, keccak(code)]),
+/// the account leaf value.
+void encode_account_leaf(const Account& account, const Hash32& storage_root,
+                         Bytes& out);
 
-class IncrementalStateTrie {
+class StateCommitment {
  public:
-  /// `storage_trie_cache`: max materialized storage tries (0 = unbounded).
-  /// `node_cache_limit`: account-trie memo bound (0 = unbounded).
-  void configure(std::size_t storage_trie_cache, std::size_t node_cache_limit);
-
-  /// Sync one dirty account into the commitment; `account == nullptr` means
-  /// the account no longer exists.
-  void update(const Address& addr, const Account* account,
+  /// Builds the commitment over every account (the first root).
+  void build(const AccountMap& accounts);
+  /// Re-syncs one account written since the last root (absent from
+  /// `accounts` when it no longer exists).
+  void update(const AccountMap& accounts, const Address& addr,
               const DirtyInfo& dirty);
-
-  /// Root over everything synced so far (incremental; see trie.hpp).
-  Hash32 root_hash() { return account_trie_.root_hash(); }
-
-  struct Stats {
-    std::uint64_t leaf_updates = 0;
-    std::uint64_t storage_trie_rebuilds = 0;   // built from flat storage
-    std::uint64_t storage_trie_evictions = 0;  // LRU drops (memo kept)
-    std::uint64_t storage_root_memo_hits = 0;  // root served without a trie
-  };
-  const Stats& stats() const { return stats_; }
-  const MerklePatriciaTrie::CacheStats& node_cache_stats() const {
-    return account_trie_.cache_stats();
-  }
-  std::size_t materialized_storage_tries() const {
-    return storage_tries_.size();
-  }
+  /// Root over everything synced so far.
+  Hash32 root_hash(const AccountMap& accounts);
 
  private:
-  Hash32 storage_root_for(const Address& addr, const Account& account,
-                          const DirtyInfo& dirty);
-  void drop_storage_trie(const Address& addr);
-  void touch(const Address& addr);
-  void evict_storage_tries();
-
-  MerklePatriciaTrie account_trie_;
-  std::size_t storage_cache_ = 0;
-
-  struct StorageEntry {
-    MerklePatriciaTrie trie;
-    std::uint64_t tick = 0;
+  struct Storage {
+    LeanTrie trie;
+    Hash32 root;
+    bool stale = true;
   };
-  std::unordered_map<Address, StorageEntry, AddressHasher> storage_tries_;
-  /// tick → address, oldest first: deterministic LRU eviction order (ticks
-  /// are assigned in sync order, which callers keep deterministic).
-  std::map<std::uint64_t, Address> lru_;
-  std::uint64_t tick_ = 0;
-  /// Last computed storage root per account with storage — lets a leaf
-  /// update (nonce/balance/code only) skip the storage trie entirely.
-  std::unordered_map<Address, Hash32, AddressHasher> storage_roots_;
-  Stats stats_;
+  using StorageTries = std::unordered_map<Address, Storage, AddressHasher>;
+  class AccountValues;
+  void build_storage(Storage& storage, const StorageMap& slots);
+
+  LeanTrie accounts_;
+  /// One entry per account with non-empty storage.
+  StorageTries storage_;
 };
 
 }  // namespace srbb::state

@@ -4,8 +4,6 @@
 
 #include "common/invariant.hpp"
 #include "crypto/keccak.hpp"
-#include "crypto/sha256.hpp"
-#include "state/trie.hpp"
 
 namespace srbb::state {
 
@@ -15,15 +13,7 @@ const Bytes kEmptyCode;
 Hash32 keccak_of_code(const Bytes& code) {
   return code.empty() ? Hash32{} : crypto::Keccak256::hash(code);
 }
-
-// The flat root's per-account code digest. Most accounts hold no code, and
-// hashing an empty buffer for each of them at every root is measurable at
-// 10^5 accounts, so the empty digest is computed once.
-Hash32 sha256_of_code(const Bytes& code) {
-  static const Hash32 empty = crypto::Sha256::hash(BytesView{});
-  return code.empty() ? empty : crypto::Sha256::hash(code);
-}
-}
+}  // namespace
 
 const Hash32& empty_code_keccak() {
   static const Hash32 hash = crypto::Keccak256::hash(BytesView{});
@@ -35,8 +25,8 @@ Hash32 StateView::code_keccak(const Address& addr) const {
   return c.empty() ? empty_code_keccak() : crypto::Keccak256::hash(c);
 }
 
-StateDB::StateDB(StateConfig config, std::shared_ptr<StorageBackend> backend)
-    : config_(config), backend_(std::move(backend)) {
+StateDB::StateDB(std::shared_ptr<StorageBackend> backend)
+    : backend_(std::move(backend)) {
   SRBB_CHECK(backend_ != nullptr);
   // Reopen: the backend's records are the initial world state.
   for (const Address& addr : backend_->keys()) {
@@ -57,17 +47,6 @@ const Account* StateDB::find(const Address& addr) const {
   return it == accounts_.end() ? nullptr : &it->second;
 }
 
-std::vector<StateDB::AccountRef> StateDB::sorted_accounts() const {
-  std::vector<AccountRef> out;
-  out.reserve(accounts_.size());
-  for (const auto& [addr, acc] : accounts_) out.emplace_back(addr, &acc);
-  std::sort(out.begin(), out.end(),
-            [](const AccountRef& a, const AccountRef& b) {
-              return a.first < b.first;
-            });
-  return out;
-}
-
 bool StateDB::account_exists(const Address& addr) const {
   return find(addr) != nullptr;
 }
@@ -84,43 +63,39 @@ std::uint64_t StateDB::nonce(const Address& addr) const {
 
 const Bytes& StateDB::code(const Address& addr) const {
   const Account* acc = find(addr);
-  return acc ? acc->code : kEmptyCode;
-}
-
-Hash32 StateDB::code_hash(const Address& addr) const {
-  return sha256_of_code(code(addr));
+  return acc ? acc->code() : kEmptyCode;
 }
 
 Hash32 StateDB::code_keccak(const Address& addr) const {
   const Account* acc = find(addr);
-  if (acc == nullptr || acc->code.empty()) return empty_code_keccak();
-  return acc->code_keccak;
+  if (acc == nullptr || acc->code().empty()) return empty_code_keccak();
+  return acc->contract->code_keccak;
 }
 
 U256 StateDB::storage(const Address& addr, const Hash32& key) const {
   const Account* acc = find(addr);
   if (acc == nullptr) return U256::zero();
-  const auto it = acc->storage.find(key);
-  return it == acc->storage.end() ? U256::zero() : it->second;
+  const StorageMap& storage = acc->storage();
+  const auto it = storage.find(key);
+  return it == storage.end() ? U256::zero() : it->second;
 }
 
 // --- write path -------------------------------------------------------------
 
-void StateDB::mark_mpt_dirty(const Address& addr) const {
-  if (mpt_.synced) mpt_.dirty[addr];
+void StateDB::mark_dirty(const Address& addr) {
+  if (commitment_.built) commitment_.dirty[addr];
 }
 
-void StateDB::mark_mpt_slot(const Address& addr, const Hash32& key) const {
-  if (mpt_.synced) mpt_.dirty[addr].slots.insert(key);
+void StateDB::mark_slot(const Address& addr, const Hash32& key) {
+  if (commitment_.built) commitment_.dirty[addr].slots.push_back(key);
 }
 
-void StateDB::mark_mpt_full(const Address& addr) const {
-  if (mpt_.synced) mpt_.dirty[addr].full_storage = true;
+void StateDB::mark_storage_reset(const Address& addr) {
+  if (commitment_.built) commitment_.dirty[addr].storage_reset = true;
 }
 
 Account& StateDB::mutable_account(const Address& addr) {
-  root_dirty_ = true;  // every write path funnels through here
-  mark_mpt_dirty(addr);
+  mark_dirty(addr);  // every write path funnels through here
   auto it = accounts_.find(addr);
   if (it == accounts_.end()) {
     journal_.push_back(JournalEntry{.op = Op::kCreateAccount, .addr = addr});
@@ -161,37 +136,39 @@ void StateDB::increment_nonce(const Address& addr) {
 }
 
 void StateDB::set_code(const Address& addr, Bytes code) {
-  Account& acc = mutable_account(addr);
+  Account::Contract& contract = mutable_account(addr).contract_data();
   JournalEntry entry{.op = Op::kCodeChange, .addr = addr};
-  entry.prev_code = acc.code;
+  entry.prev_code = contract.code;
   journal_.push_back(std::move(entry));
-  acc.code = std::move(code);
-  acc.code_keccak = keccak_of_code(acc.code);
+  contract.code = std::move(code);
+  contract.code_keccak = keccak_of_code(contract.code);
 }
 
 void StateDB::set_storage(const Address& addr, const Hash32& key,
                           const U256& value) {
   Account& acc = mutable_account(addr);
-  mark_mpt_slot(addr, key);
-  const auto it = acc.storage.find(key);
+  mark_slot(addr, key);
+  const StorageMap& current = acc.storage();
+  const auto it = current.find(key);
+  const bool existed = it != current.end();
   JournalEntry entry{.op = Op::kStorageChange, .addr = addr, .key = key};
-  entry.prev_existed = it != acc.storage.end();
-  if (entry.prev_existed) entry.prev_value = it->second;
+  entry.prev_existed = existed;
+  if (existed) entry.prev_value = it->second;
   journal_.push_back(std::move(entry));
   if (value.is_zero()) {
-    acc.storage.erase(key);  // zero writes clear the slot, as in the EVM
+    // Zero writes clear the slot, as in the EVM.
+    if (existed) acc.contract->storage.erase(key);
   } else {
-    acc.storage[key] = value;
+    acc.contract_data().storage[key] = value;
   }
 }
 
 void StateDB::delete_account(const Address& addr) {
   const Account* acc = find(addr);
   if (acc == nullptr) return;
-  root_dirty_ = true;
   // The account's storage identity resets: a later recreation must not
-  // inherit the old materialized storage trie.
-  mark_mpt_full(addr);
+  // inherit the old storage trie.
+  mark_storage_reset(addr);
   JournalEntry entry{.op = Op::kDeleteAccount, .addr = addr};
   entry.prev_account = std::make_shared<const Account>(*acc);
   journal_.push_back(std::move(entry));
@@ -202,7 +179,6 @@ void StateDB::revert_to(Snapshot snapshot) {
   // Reverting to a snapshot that was never taken (or taken after writes that
   // were already reverted) means call-frame bookkeeping is corrupt.
   SRBB_CHECK(snapshot <= journal_.size());
-  if (journal_.size() > snapshot) root_dirty_ = true;
   while (journal_.size() > snapshot) {
     JournalEntry& entry = journal_.back();
     // Every undo except account (re)creation targets an account the journal
@@ -216,40 +192,40 @@ void StateDB::revert_to(Snapshot snapshot) {
     };
     switch (entry.op) {
       case Op::kCreateAccount:
-        mark_mpt_dirty(entry.addr);
+        mark_dirty(entry.addr);
         accounts_.erase(entry.addr);
         break;
       case Op::kBalanceChange:
-        mark_mpt_dirty(entry.addr);
+        mark_dirty(entry.addr);
         target().balance = entry.prev_value;
         break;
       case Op::kNonceChange:
-        mark_mpt_dirty(entry.addr);
+        mark_dirty(entry.addr);
         target().nonce = entry.prev_nonce;
         break;
       case Op::kCodeChange: {
-        mark_mpt_dirty(entry.addr);
-        Account& acc = target();
-        acc.code = std::move(entry.prev_code);
+        mark_dirty(entry.addr);
+        Account::Contract& contract = target().contract_data();
+        contract.code = std::move(entry.prev_code);
         // Reverted deployments are rare; recomputing beats journaling the
         // previous hash on every set_code.
-        acc.code_keccak = keccak_of_code(acc.code);
+        contract.code_keccak = keccak_of_code(contract.code);
         break;
       }
       case Op::kStorageChange: {
-        mark_mpt_slot(entry.addr, entry.key);
-        auto& storage = target().storage;
+        mark_slot(entry.addr, entry.key);
+        Account& acc = target();
         if (entry.prev_existed) {
-          storage[entry.key] = entry.prev_value;
-        } else {
-          storage.erase(entry.key);
+          acc.contract_data().storage[entry.key] = entry.prev_value;
+        } else if (acc.contract) {
+          acc.contract->storage.erase(entry.key);
         }
         break;
       }
       case Op::kDeleteAccount:
         // The deletion undo recreates the account, so it must be absent.
         SRBB_PARANOID(!accounts_.contains(entry.addr));
-        mark_mpt_full(entry.addr);
+        mark_storage_reset(entry.addr);
         accounts_[entry.addr] = *entry.prev_account;
         break;
     }
@@ -282,66 +258,25 @@ void StateDB::commit() {
   journal_ = std::vector<JournalEntry>{};
 }
 
-// --- commitments ------------------------------------------------------------
+// --- commitment -------------------------------------------------------------
 
 Hash32 StateDB::state_root() const {
-  if (!root_dirty_) return root_cache_;
-  crypto::Sha256 root;
-  for (const auto& [addr, account] : sorted_accounts()) {
-    const Account& acc = *account;
-    root.update(addr.view());
-    std::uint8_t nonce_be[8];
-    put_be64(nonce_be, acc.nonce);
-    root.update(BytesView{nonce_be, 8});
-    root.update(acc.balance.be_bytes());
-    root.update(sha256_of_code(acc.code).view());
-
-    std::vector<Hash32> keys;
-    keys.reserve(acc.storage.size());
-    for (const auto& [key, value] : acc.storage) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const Hash32& key : keys) {
-      root.update(key.view());
-      root.update(acc.storage.at(key).be_bytes());
+  if (!commitment_.built) {
+    // The first root builds the whole commitment once; later roots re-sync
+    // only what the write path marked since.
+    commitment_.trie.build(accounts_);
+    commitment_.built = true;
+  } else {
+    std::vector<Address> written;
+    written.reserve(commitment_.dirty.size());
+    for (const auto& [addr, info] : commitment_.dirty) written.push_back(addr);
+    std::sort(written.begin(), written.end());
+    for (const Address& addr : written) {
+      commitment_.trie.update(accounts_, addr, commitment_.dirty.at(addr));
     }
+    commitment_.dirty.clear();
   }
-  root_cache_ = root.finish();
-  root_dirty_ = false;
-  return root_cache_;
-}
-
-Hash32 StateDB::state_root_mpt() const {
-  if (!mpt_.synced) {
-    // First call (or first after a copy): build the whole commitment once;
-    // later calls only re-sync accounts the write path marked dirty.
-    mpt_.trie = IncrementalStateTrie{};
-    mpt_.trie.configure(config_.storage_trie_cache,
-                        config_.trie_node_cache_limit);
-    for (const auto& [addr, acc] : sorted_accounts()) {
-      mpt_.trie.update(addr, acc, DirtyInfo{.full_storage = true});
-    }
-    mpt_.synced = true;
-    mpt_.dirty.clear();
-    return mpt_.trie.root_hash();
-  }
-
-  std::vector<Address> addresses;
-  addresses.reserve(mpt_.dirty.size());
-  for (const auto& [addr, info] : mpt_.dirty) addresses.push_back(addr);
-  std::sort(addresses.begin(), addresses.end());
-  for (const Address& addr : addresses) {
-    mpt_.trie.update(addr, find(addr), mpt_.dirty.at(addr));
-  }
-  mpt_.dirty.clear();
-  return mpt_.trie.root_hash();
-}
-
-Hash32 StateDB::state_root_mpt_full() const {
-  MerklePatriciaTrie trie;
-  for (const auto& [addr, acc] : sorted_accounts()) {
-    trie.put(addr.view(), encode_account_leaf(*acc, storage_trie_root(*acc)));
-  }
-  return trie.root_hash();
+  return commitment_.trie.root_hash(accounts_);
 }
 
 }  // namespace srbb::state

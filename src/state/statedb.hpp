@@ -25,13 +25,9 @@
 #include "common/u256.hpp"
 #include "state/account.hpp"
 #include "state/backend.hpp"
-#include "state/config.hpp"
 #include "state/state_trie.hpp"
 
 namespace srbb::state {
-
-/// keccak256 of the empty byte string — the code hash of every EOA.
-const Hash32& empty_code_keccak();
 
 /// Abstract world-state view: the exact surface the interpreter and
 /// apply_transaction need. Reads never create accounts; writes are journaled
@@ -47,7 +43,6 @@ class StateView {
   virtual U256 balance(const Address& addr) const = 0;
   virtual std::uint64_t nonce(const Address& addr) const = 0;
   virtual const Bytes& code(const Address& addr) const = 0;
-  virtual Hash32 code_hash(const Address& addr) const = 0;
   /// keccak256 of code(addr) — the key the EVM analysis cache is addressed
   /// by. Implementations memoize where they can; the default recomputes.
   virtual Hash32 code_keccak(const Address& addr) const;
@@ -78,15 +73,12 @@ class StateDB final : public StateView {
 
   /// No backend: the state lives only in memory.
   StateDB() = default;
-  /// No backend, with the commitment knobs from `config`
-  /// (trie_node_cache_limit, storage_trie_cache) applied.
-  explicit StateDB(StateConfig config) : config_(config) {}
   /// Write-through to `backend`. Every record already in it is loaded as
   /// the initial world state (reopen).
-  StateDB(StateConfig config, std::shared_ptr<StorageBackend> backend);
+  explicit StateDB(std::shared_ptr<StorageBackend> backend);
 
   // Copyable for test/bench fixtures. A copy shares the backend pointer but
-  // starts with a fresh commitment cache (it rebuilds on demand); do not
+  // starts with no commitment (it rebuilds at its first root); do not
   // commit through two copies of a backed state.
   StateDB(const StateDB&) = default;
   StateDB& operator=(const StateDB&) = default;
@@ -98,7 +90,6 @@ class StateDB final : public StateView {
   U256 balance(const Address& addr) const override;
   std::uint64_t nonce(const Address& addr) const override;
   const Bytes& code(const Address& addr) const override;
-  Hash32 code_hash(const Address& addr) const override;
   /// O(1): returns the hash memoized by set_code (empty-code hash for
   /// code-less accounts). Pure read — safe under concurrent readers.
   Hash32 code_keccak(const Address& addr) const override;
@@ -127,30 +118,17 @@ class StateDB final : public StateView {
   /// written (or erased) in address order, then the backend is flushed.
   void commit();
 
-  /// Deterministic digest of the entire world state. Accounts are hashed in
-  /// address order, storage in key order, so two replicas that executed the
-  /// same blocks produce identical roots. O(n log n) per recompute; the
-  /// result is memoized and reused until the next journaled write, so
-  /// back-to-back calls (oracle indexing, convergence tests) are O(1).
-  /// Not safe to call concurrently with writes or with itself.
+  /// The world-state commitment: the root of a Merkle Patricia Trie over
+  /// accounts, each leaf rlp([nonce, balance, storage_root, keccak(code)])
+  /// with a nested storage trie per account that has storage
+  /// (state_trie.hpp), byte-compatible with Ethereum's trie shape. The
+  /// first call builds the trie; later calls re-sync only the accounts and
+  /// slots written since, so a root after k writes costs O(k · depth).
+  /// Not safe to call concurrently with reads or writes.
   Hash32 state_root() const;
 
-  /// Ethereum-shaped commitment: a Merkle Patricia Trie over accounts, each
-  /// leaf rlp([nonce, balance, storage_trie_root, code_hash]) with a nested
-  /// storage trie per contract. Binding like state_root() but additionally
-  /// supports trie inclusion proofs. Incremental: the first call builds the
-  /// trie, subsequent calls re-sync only accounts dirtied in between
-  /// (state_trie.hpp), so a root after k mutations costs O(k·depth) instead
-  /// of O(n). Not safe to call concurrently with reads or writes.
-  Hash32 state_root_mpt() const;
-
-  /// From-scratch MPT rebuild — the reference the incremental path is
-  /// differentially tested against. Always equals state_root_mpt().
-  Hash32 state_root_mpt_full() const;
-
-  // --- introspection (tests) ---
-  const IncrementalStateTrie& state_trie() const { return mpt_.trie; }
-  const StateConfig& config() const { return config_; }
+  /// Every account (tests build reference commitments over it).
+  const AccountMap& accounts() const { return accounts_; }
   StorageBackend* backend() const { return backend_.get(); }
 
  private:
@@ -177,43 +155,33 @@ class StateDB final : public StateView {
     std::shared_ptr<const Account> prev_account;
   };
 
-  /// Incremental-commitment state. Copies (and copy-assignments) reset to
-  /// unsynced — the commitment is a cache over the flat state and rebuilds
-  /// on the next state_root_mpt() call.
-  struct MptState {
-    IncrementalStateTrie trie;
-    bool synced = false;
+  /// The commitment over the flat state. Copies (and copy-assignments)
+  /// reset to unbuilt: it is derived data and rebuilds at the next root.
+  struct Commitment {
+    StateCommitment trie;
+    bool built = false;
     std::unordered_map<Address, DirtyInfo, AddressHasher> dirty;
-    MptState() = default;
-    MptState(const MptState&) {}
-    MptState& operator=(const MptState&) {
-      trie = IncrementalStateTrie{};
-      synced = false;
-      dirty.clear();
+    Commitment() = default;
+    Commitment(const Commitment&) {}
+    Commitment& operator=(const Commitment&) {
+      *this = Commitment{};
       return *this;
     }
-    MptState(MptState&&) = default;
-    MptState& operator=(MptState&&) = default;
+    Commitment(Commitment&&) = default;
+    Commitment& operator=(Commitment&&) = default;
   };
-
-  using AccountRef = std::pair<Address, const Account*>;
 
   Account& mutable_account(const Address& addr);
   const Account* find(const Address& addr) const;
-  /// Every account, in ascending address order.
-  std::vector<AccountRef> sorted_accounts() const;
-  void mark_mpt_dirty(const Address& addr) const;
-  void mark_mpt_slot(const Address& addr, const Hash32& key) const;
-  void mark_mpt_full(const Address& addr) const;
+  // Record a write for the next root (no-ops before the first root).
+  void mark_dirty(const Address& addr);
+  void mark_slot(const Address& addr, const Hash32& key);
+  void mark_storage_reset(const Address& addr);
 
-  StateConfig config_;
   std::shared_ptr<StorageBackend> backend_;
-  std::unordered_map<Address, Account, AddressHasher> accounts_;
+  AccountMap accounts_;
   std::vector<JournalEntry> journal_;
-  // state_root() memoization: any journaled write (or revert) invalidates.
-  mutable Hash32 root_cache_;
-  mutable bool root_dirty_ = true;
-  mutable MptState mpt_;
+  mutable Commitment commitment_;
 };
 
 }  // namespace srbb::state

@@ -1,28 +1,25 @@
-// Merkle Patricia Trie: the authenticated key-value structure Ethereum uses
-// for its state and receipt commitments, implemented from scratch (leaf /
-// extension / branch nodes over nibble paths, hex-prefix encoding, Keccak
-// over RLP node encodings).
+// Merkle Patricia Trie over keys only: the authenticated structure behind
+// the world-state commitment (docs/STATE.md), implemented from scratch
+// (leaf / extension / branch nodes over nibble paths, hex-prefix encoding,
+// Keccak over RLP node encodings).
+//
+// The trie stores no values. A leaf keeps only its packed key suffix; when a
+// branch above it is re-hashed, the leaf is re-encoded from the value a
+// TrieValues source returns for its full key (StateDB's flat maps in
+// production). A branch memoizes the reference its parent embeds, so a
+// root after k put()/erase() calls re-encodes only the O(k · depth)
+// branches on the touched paths. An extension is folded into the branch it
+// leads to and shares that branch's memo.
 //
 // Child references follow the yellow paper (appendix D): a child whose RLP
 // encoding is shorter than 32 bytes is inlined into its parent's encoding;
 // longer encodings are referenced by their Keccak hash. Roots are therefore
-// byte-compatible with Ethereum's trie for the same key/value bytes (pinned
-// by the known-root vectors in tests/test_trie.cpp).
-//
-// Incremental hashing: every node memoizes the RLP reference its parent
-// embeds (hash or inline encoding). put()/erase() invalidate the memo only
-// along the touched path, so root_hash() after k mutations re-hashes
-// O(k * depth) nodes instead of the whole trie — the property the StateDB
-// commitment layer (state_trie.hpp) builds on. The memo pool is bounded:
-// when the number of cached references exceeds set_node_cache_limit(), the
-// next root_hash() drops every memo (one full recompute, then re-warm),
-// keeping worst-case memory O(limit) instead of O(nodes).
+// byte-compatible with Ethereum's (unsecured) trie for the same key/value
+// bytes (pinned by the known-root vectors in tests/test_trie.cpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <optional>
+#include <span>
 
 #include "common/bytes.hpp"
 
@@ -31,70 +28,63 @@ namespace srbb::state {
 /// keccak256(rlp("")) — the canonical empty-trie sentinel root.
 const Hash32& empty_trie_root();
 
-class MerklePatriciaTrie {
+/// The value committed under each key of a LeanTrie. root_hash() may call it
+/// from several pool threads at once, so it must be a pure read.
+class TrieValues {
  public:
-  MerklePatriciaTrie();
-  ~MerklePatriciaTrie();
-  MerklePatriciaTrie(MerklePatriciaTrie&&) noexcept;
-  MerklePatriciaTrie& operator=(MerklePatriciaTrie&&) noexcept;
-
-  /// Insert or overwrite. Empty values are legal and distinct from absence.
-  void put(BytesView key, Bytes value);
-  std::optional<Bytes> get(BytesView key) const;
-  /// Remove a key; no-op when absent.
-  void erase(BytesView key);
-
-  bool empty() const { return root_ == nullptr; }
-  std::size_t size() const { return size_; }
-
-  /// keccak256 of the RLP encoding of the root node; empty_trie_root() for
-  /// the empty trie. Incremental: only nodes dirtied since the previous call
-  /// are re-encoded/re-hashed.
-  Hash32 root_hash() const;
-
-  // --- node-cache bookkeeping (bounded memo pool) ---
-  struct CacheStats {
-    std::size_t cached_refs = 0;  // nodes currently holding a memoized ref
-    std::uint64_t full_drops = 0; // times the whole memo pool was dropped
-  };
-  const CacheStats& cache_stats() const { return cache_stats_; }
-  /// Cap on memoized node references (0 = unbounded). Exceeding the cap
-  /// drops every memo at the next root_hash() — bounded memory at the cost
-  /// of one full recompute.
-  void set_node_cache_limit(std::size_t limit) { cache_limit_ = limit; }
-
- private:
-  struct Node;
-  using NodePtr = std::unique_ptr<Node>;
-
-  NodePtr insert(NodePtr node, std::span<const std::uint8_t> nibbles,
-                 Bytes value, bool& inserted);
-  static const Node* lookup(const Node* node,
-                            std::span<const std::uint8_t> nibbles);
-  NodePtr remove(NodePtr node, std::span<const std::uint8_t> nibbles,
-                 bool& removed);
-  /// Re-normalise a node whose children changed (collapse single-child
-  /// branches into extensions/leaves).
-  NodePtr normalize(NodePtr node);
-  /// Full RLP encoding of a node (children embedded per the yellow paper).
-  Bytes encode(const Node& node) const;
-  /// The RLP item a parent embeds for `node`: the encoding itself when
-  /// shorter than 32 bytes, rlp(keccak(encoding)) otherwise. Memoized.
-  Bytes child_ref(const Node& node) const;
-  /// Drop a node's memoized ref (cache-stat bookkeeping funnel).
-  void invalidate(Node& node);
-  void drop_all_refs(Node* node);
-
-  NodePtr root_;
-  std::size_t size_ = 0;
-  std::size_t cache_limit_ = 0;
-  mutable CacheStats cache_stats_;
+  virtual ~TrieValues() = default;
+  /// Replaces `out` with the value bytes stored under `key`.
+  virtual void value(BytesView key, Bytes& out) const = 0;
 };
 
-/// Nibble helpers (exposed for tests).
-std::vector<std::uint8_t> to_nibbles(BytesView key);
-/// Hex-prefix encoding of a nibble path with the leaf flag (yellow paper
-/// appendix C).
-Bytes hex_prefix_encode(std::span<const std::uint8_t> nibbles, bool is_leaf);
+class LeanTrie {
+ public:
+  /// Keys are at most this long.
+  static constexpr std::size_t kMaxKeyBytes = 32;
+  /// Touched keys from which root_hash() fans out to the pool.
+  static constexpr std::size_t kParallelRehashKeys = 512;
+
+  LeanTrie() = default;
+  ~LeanTrie();
+  LeanTrie(LeanTrie&& other) noexcept;
+  LeanTrie& operator=(LeanTrie&& other) noexcept;
+  LeanTrie(const LeanTrie&) = delete;
+  LeanTrie& operator=(const LeanTrie&) = delete;
+
+  /// Replaces the content with `keys`, which must be sorted ascending and
+  /// distinct. Every node is allocated once, at its final size.
+  void build(std::span<const BytesView> keys);
+  /// Adds `key` if absent. Either way its value is re-read at the next root.
+  void put(BytesView key);
+  /// Removes `key`; no-op when absent.
+  void erase(BytesView key);
+  bool empty() const { return root_.branch == nullptr && !root_.leaf; }
+
+  /// keccak256 of the root node's RLP encoding; empty_trie_root() for the
+  /// empty trie. Re-encodes only branches touched since the previous call.
+  /// Once kParallelRehashKeys or more keys were touched, the subtries under
+  /// the top branch are re-hashed on the process-wide pool.
+  Hash32 root_hash(const TrieValues& values);
+
+  struct Branch;
+  /// A nibble string, one nibble per byte.
+  struct Nibbles {
+    std::uint8_t n[2 * kMaxKeyBytes] = {};
+    std::size_t size = 0;
+    std::span<const std::uint8_t> view() const { return {n, size}; }
+    void append(std::span<const std::uint8_t> more);
+  };
+  /// A subtrie as the slot above it holds it: nothing, one leaf (the key
+  /// nibbles below the slot), or a branch.
+  struct Slot {
+    Branch* branch = nullptr;
+    bool leaf = false;
+    Nibbles suffix;
+  };
+
+ private:
+  Slot root_;
+  std::size_t touched_ = 0;  // put()/erase() calls since the last root
+};
 
 }  // namespace srbb::state

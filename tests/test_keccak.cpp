@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+
+#include "common/rng.hpp"
+#include "support/keccak_reference.hpp"
 
 namespace srbb::crypto {
 namespace {
@@ -56,6 +60,37 @@ TEST(Keccak256, RateBoundaryLengths) {
 TEST(Keccak256, DistinctInputsDistinctDigests) {
   EXPECT_NE(Keccak256::hash(sv("a")), Keccak256::hash(sv("b")));
   EXPECT_NE(Keccak256::hash(sv("")), Keccak256::hash(sv(std::string("\x00", 1))));
+}
+
+// The straight-line permutation against the loop reference, at every length
+// through eight rate blocks (every padding position, including the one where
+// the 0x01 and 0x80 pad bytes share the last byte of a block).
+TEST(Keccak256, MatchesReferenceAtEveryLengthTo1100) {
+  Rng rng{1100};
+  Bytes data(1100);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView prefix{data.data(), len};
+    ASSERT_EQ(Keccak256::hash(prefix), keccak256_reference(prefix)) << len;
+  }
+}
+
+TEST(Keccak256, RandomUpdateSplitsMatchReference) {
+  Rng rng{532};
+  for (int trial = 0; trial < 300; ++trial) {
+    Bytes data(rng.next_below(700));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+    Keccak256 k;
+    std::size_t offset = 0;
+    while (offset < data.size()) {
+      const std::size_t take = std::min<std::size_t>(
+          data.size() - offset, rng.next_below(300));
+      k.update(BytesView{data.data() + offset, take});
+      offset += take;
+    }
+    ASSERT_EQ(k.finish(), keccak256_reference(data))
+        << "trial " << trial << " length " << data.size();
+  }
 }
 
 TEST(AddressDerivation, Last20BytesOfKeccak) {

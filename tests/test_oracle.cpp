@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "evm/contracts.hpp"
+#include "support/reference_trie.hpp"
 
 namespace srbb::node {
 namespace {
@@ -137,11 +138,27 @@ TEST(ParallelOracle, MatchesSequentialExecution) {
     const IndexExecResult& rs = sequential.execute(index, blocks);
     const IndexExecResult& rp = parallel.execute(index, blocks);
     EXPECT_EQ(rs.state_root, rp.state_root) << "index " << index;
+    EXPECT_EQ(rs.state_root, state::state_root_mpt_full(sequential.db()))
+        << "index " << index;
     EXPECT_EQ(rs.total_valid, rp.total_valid);
     EXPECT_EQ(rs.total_invalid, rp.total_invalid);
   }
   EXPECT_EQ(sequential.db().state_root(), parallel.db().state_root());
-  EXPECT_EQ(sequential.db().state_root_mpt(), parallel.db().state_root_mpt());
+}
+
+TEST(Oracle, ResetRestoresGenesisRoot) {
+  ExecutionOracle oracle{rich_genesis(), {}, scheme()};
+  const Hash32 genesis_root = oracle.db().state_root();
+  const Hash32 root = oracle.execute(0, {block_of(0, 0, {transfer(2, 0)})}).state_root;
+  EXPECT_NE(root, genesis_root);
+  EXPECT_EQ(oracle.root_stats().computed, 1u);
+  oracle.reset();
+  EXPECT_EQ(oracle.root_stats().computed, 0u);
+  EXPECT_EQ(oracle.db().state_root(), genesis_root);
+  // Index 0 executes afresh after the reset, to the same root.
+  EXPECT_EQ(oracle.execute(0, {block_of(0, 0, {transfer(2, 0)})}).state_root,
+            root);
+  EXPECT_EQ(oracle.root_stats().deferred, 0u);
 }
 
 TEST(Oracle, FeesComputedPerOutcome) {

@@ -2,10 +2,11 @@
 //
 // A StateDB without a backend is the reference. One writing through to a
 // memory backend and one writing through to a log-structured backend on disk
-// must produce bit-identical state_root() and state_root_mpt() at every
-// commit point of a randomized journaled workload, and a StateDB reopened
-// over either backend must reproduce them, across torn-log recovery,
-// compaction, and self-destruct/recreate cycles.
+// must produce bit-identical state_root() at every commit point of a
+// randomized journaled workload, equal to the from-scratch reference root
+// (tests/support), and a StateDB reopened over either backend must reproduce
+// it, across torn-log recovery, compaction, reverted creates and
+// self-destruct/recreate cycles.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,10 +18,10 @@
 #include "codec/rlp.hpp"
 #include "common/rng.hpp"
 #include "crypto/keccak.hpp"
-#include "srbb/oracle.hpp"
 #include "state/log_backend.hpp"
 #include "state/overlay.hpp"
 #include "state/statedb.hpp"
+#include "support/reference_trie.hpp"
 
 namespace srbb::state {
 namespace {
@@ -54,27 +55,30 @@ TEST(AccountRecord, RoundTripsRandomAccounts) {
     account.nonce = rng.next_u64();
     account.balance = U256{rng.next_u64()};
     if (rng.next_below(2) == 0) {
-      account.code.resize(rng.next_below(64));
-      for (auto& b : account.code) b = static_cast<std::uint8_t>(rng.next_u64());
-      account.code_keccak = account.code.empty()
-                                ? Hash32{}
-                                : crypto::Keccak256::hash(account.code);
+      Bytes code(1 + rng.next_below(63));
+      for (auto& b : code) b = static_cast<std::uint8_t>(rng.next_u64());
+      account.contract_data().code_keccak = crypto::Keccak256::hash(code);
+      account.contract_data().code = std::move(code);
     }
     const std::uint64_t slots = rng.next_below(6);
     for (std::uint64_t s = 0; s < slots; ++s) {
-      account.storage[slot_of(rng.next_below(32))] = U256{1 + rng.next_u64()};
+      account.contract_data().storage[slot_of(rng.next_below(32))] =
+          U256{1 + rng.next_u64()};
     }
     const Bytes record = encode_account_record(account);
     const std::optional<Account> decoded = decode_account_record(record);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->nonce, account.nonce);
     EXPECT_EQ(decoded->balance, account.balance);
-    EXPECT_EQ(decoded->code, account.code);
-    EXPECT_EQ(decoded->code_keccak, account.code_keccak);
-    EXPECT_EQ(decoded->storage.size(), account.storage.size());
-    for (const auto& [slot, value] : account.storage) {
-      ASSERT_TRUE(decoded->storage.contains(slot));
-      EXPECT_EQ(decoded->storage.at(slot), value);
+    EXPECT_EQ(decoded->code(), account.code());
+    EXPECT_EQ(decoded->contract != nullptr, account.contract != nullptr);
+    if (!account.code().empty()) {
+      EXPECT_EQ(decoded->contract->code_keccak, account.contract->code_keccak);
+    }
+    EXPECT_EQ(decoded->storage().size(), account.storage().size());
+    for (const auto& [slot, value] : account.storage()) {
+      ASSERT_TRUE(decoded->storage().contains(slot));
+      EXPECT_EQ(decoded->storage().at(slot), value);
     }
   }
 }
@@ -150,8 +154,9 @@ TEST(Crc32, KnownVector) {
 // --- randomized differential workload ---------------------------------------
 
 /// Applies one random journaled op to every db identically. Ops cover
-/// create/balance/nonce/code/storage writes, SELFDESTRUCT, recreate-after-
-/// destruct, snapshot/revert, and commit (where all roots are compared).
+/// create/balance/nonce/code/storage writes (zero writes erase slots),
+/// SELFDESTRUCT, recreate-after-destruct, a reverted create, snapshot/revert,
+/// and commit (where all roots are compared).
 class StateFleet {
  public:
   explicit StateFleet(std::vector<StateDB*> dbs) : dbs_(std::move(dbs)) {}
@@ -159,7 +164,7 @@ class StateFleet {
   /// Applies one op; true when it was a commit.
   bool step(Rng& rng) {
     const Address addr = addr_of(rng.next_below(24));
-    switch (rng.next_below(12)) {
+    switch (rng.next_below(13)) {
       case 0:
       case 1: {
         const U256 delta{1 + rng.next_below(1000)};
@@ -201,6 +206,18 @@ class StateFleet {
       case 8:
         snapshots_.push_back(take_snapshots());
         break;
+      case 10: {
+        // Create a fresh account with storage, then revert the create.
+        const Address fresh = addr_of(1000 + rng.next_below(8));
+        const Hash32 slot = slot_of(rng.next_below(8));
+        for_each([&](StateDB& db) {
+          const auto before = db.snapshot();
+          db.add_balance(fresh, U256{7});
+          db.set_storage(fresh, slot, U256{9});
+          db.revert_to(before);
+        });
+        break;
+      }
       case 9:
         if (!snapshots_.empty()) {
           const auto snaps = snapshots_.back();
@@ -220,12 +237,9 @@ class StateFleet {
   void commit_and_check() {
     snapshots_.clear();
     for_each([](StateDB& db) { db.commit(); });
-    const Hash32 root = dbs_[0]->state_root();
-    const Hash32 mpt = dbs_[0]->state_root_mpt();
-    ASSERT_EQ(mpt, dbs_[0]->state_root_mpt_full());
-    for (std::size_t i = 1; i < dbs_.size(); ++i) {
+    const Hash32 root = state_root_mpt_full(*dbs_[0]);
+    for (std::size_t i = 0; i < dbs_.size(); ++i) {
       ASSERT_EQ(dbs_[i]->state_root(), root) << "db " << i;
-      ASSERT_EQ(dbs_[i]->state_root_mpt(), mpt) << "db " << i;
       ASSERT_EQ(dbs_[i]->account_count(), dbs_[0]->account_count())
           << "db " << i;
     }
@@ -250,10 +264,9 @@ class StateFleet {
 /// A StateDB reopened over `backend` must reproduce `live` exactly.
 void expect_reopens_to(const StateDB& live,
                        std::shared_ptr<StorageBackend> backend) {
-  const StateDB reopened{StateConfig{}, std::move(backend)};
+  const StateDB reopened{std::move(backend)};
   ASSERT_EQ(reopened.account_count(), live.account_count());
   ASSERT_EQ(reopened.state_root(), live.state_root());
-  ASSERT_EQ(reopened.state_root_mpt(), live.state_root_mpt());
 }
 
 // Regression (found by the differential suite): a self-destruct followed by a
@@ -261,7 +274,7 @@ void expect_reopens_to(const StateDB& live,
 // commit, or a reopen resurrects the stale account.
 TEST(StateBackend, RevertedRecreateAfterDeleteStillFlushesDeletion) {
   auto backend = std::make_shared<MemoryBackend>();
-  StateDB db{StateConfig{}, backend};
+  StateDB db{backend};
   StateDB reference;
   const Address victim = addr_of(7);
   for (StateDB* d : {&db, &reference}) {
@@ -279,7 +292,7 @@ TEST(StateBackend, RevertedRecreateAfterDeleteStillFlushesDeletion) {
   }
   EXPECT_EQ(backend->get(victim), std::nullopt);
   EXPECT_EQ(db.state_root(), reference.state_root());
-  EXPECT_EQ(db.state_root_mpt(), reference.state_root_mpt());
+  EXPECT_EQ(db.state_root(), state_root_mpt_full(db));
   expect_reopens_to(reference, backend);
 
   // The double-delete variant: delete, recreate, delete again, then a full
@@ -306,16 +319,12 @@ TEST_P(StateBackendDifferential, AllConfigurationsAgreeAtEveryCommit) {
   const std::uint64_t seed = GetParam();
   StateDB reference;  // no backend
 
-  // Tiny trie caches, so the incremental commitment also evicts.
-  StateConfig memory_cfg;
-  memory_cfg.storage_trie_cache = 2;
-  memory_cfg.trie_node_cache_limit = 64;
   const auto memory = std::make_shared<MemoryBackend>();
-  StateDB in_memory{memory_cfg, memory};
+  StateDB in_memory{memory};
 
   const std::string log_path =
       fresh_log_path("srbb_diff_" + std::to_string(seed) + ".log");
-  StateDB logged{StateConfig{}, std::make_shared<LogBackend>(log_path)};
+  StateDB logged{std::make_shared<LogBackend>(log_path)};
 
   // Every commit is durable: reopening either backend reproduces the state.
   const auto check_reopen = [&] {
@@ -338,7 +347,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StateBackendDifferential,
 
 TEST(StateBackend, OverlaySpeculationOverBackedState) {
   auto backend = std::make_shared<MemoryBackend>();
-  StateDB db{StateConfig{}, backend};
+  StateDB db{backend};
   StateDB reference;
   for (std::uint64_t i = 0; i < 6; ++i) {
     db.add_balance(addr_of(i), U256{50});
@@ -360,8 +369,39 @@ TEST(StateBackend, OverlaySpeculationOverBackedState) {
   reference.add_balance(addr_of(4), U256{30});
   reference.commit();
   EXPECT_EQ(db.state_root(), reference.state_root());
-  EXPECT_EQ(db.state_root_mpt(), reference.state_root_mpt());
   expect_reopens_to(reference, backend);
+}
+
+// More accounts written between two roots than LeanTrie::kParallelRehashKeys,
+// so the account trie re-hashes its top subtries on the shared pool.
+TEST(StateBackend, LargeDirtySetTakesParallelPath) {
+  auto backend = std::make_shared<MemoryBackend>();
+  StateDB db{backend};
+  StateDB reference;
+  StateFleet fleet{{&reference, &db}};
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    for (StateDB* d : {&db, &reference}) d->add_balance(addr_of(i), U256{i + 1});
+  }
+  fleet.commit_and_check();
+  Rng rng{5};
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 1500; ++i) {
+      const Address a = addr_of(rng.next_below(2500));
+      const Hash32 slot = slot_of(rng.next_below(4));
+      const U256 value{rng.next_below(3)};  // zero writes erase
+      const bool destruct = rng.next_below(16) == 0;
+      for (StateDB* d : {&db, &reference}) {
+        if (destruct) {
+          d->delete_account(a);
+        } else {
+          d->add_balance(a, U256{1});
+          d->set_storage(a, slot, value);
+        }
+      }
+    }
+    fleet.commit_and_check();
+    expect_reopens_to(reference, backend);
+  }
 }
 
 // --- log backend: reopen, crash safety, compaction ---------------------------
@@ -370,21 +410,18 @@ TEST(LogBackendReopen, StateSurvivesCloseAndReopen) {
   const std::string path = fresh_log_path("srbb_reopen.log");
   StateDB reference;
   Hash32 root;
-  Hash32 mpt_root;
   {
-    StateDB db{StateConfig{}, std::make_shared<LogBackend>(path)};
+    StateDB db{std::make_shared<LogBackend>(path)};
     StateFleet fleet{{&reference, &db}};
     Rng rng{42};
     for (int step = 0; step < 200; ++step) fleet.step(rng);
     fleet.commit_and_check();
     root = db.state_root();
-    mpt_root = db.state_root_mpt();
   }  // db and backend destroyed; the log file holds the state
 
-  StateDB reopened{StateConfig{}, std::make_shared<LogBackend>(path)};
+  StateDB reopened{std::make_shared<LogBackend>(path)};
   EXPECT_EQ(reopened.state_root(), root);
-  EXPECT_EQ(reopened.state_root_mpt(), mpt_root);
-  EXPECT_EQ(reopened.state_root_mpt_full(), mpt_root);
+  EXPECT_EQ(state_root_mpt_full(reopened), root);
   EXPECT_EQ(reopened.account_count(), reference.account_count());
 }
 
@@ -392,7 +429,7 @@ TEST(LogBackendRecovery, TornTailIsDroppedOnReopen) {
   const std::string path = fresh_log_path("srbb_torn.log");
   Hash32 root;
   {
-    StateDB db{StateConfig{}, std::make_shared<LogBackend>(path)};
+    StateDB db{std::make_shared<LogBackend>(path)};
     db.add_balance(addr_of(1), U256{11});
     db.set_storage(addr_of(1), slot_of(1), U256{7});
     db.add_balance(addr_of(2), U256{22});
@@ -407,7 +444,7 @@ TEST(LogBackendRecovery, TornTailIsDroppedOnReopen) {
   }
   auto backend = std::make_shared<LogBackend>(path);
   EXPECT_GT(backend->stats().torn_bytes_dropped, 0u);
-  StateDB reopened{StateConfig{}, backend};
+  StateDB reopened{backend};
   EXPECT_EQ(reopened.state_root(), root);
 }
 
@@ -416,7 +453,7 @@ TEST(LogBackendRecovery, CorruptFinalRecordRollsBackToPreviousFlush) {
   Hash32 root_before_last;
   std::uint64_t bytes_before_last = 0;
   {
-    StateDB db{StateConfig{}, std::make_shared<LogBackend>(path)};
+    StateDB db{std::make_shared<LogBackend>(path)};
     db.add_balance(addr_of(1), U256{11});
     db.commit();
     root_before_last = db.state_root();
@@ -434,7 +471,7 @@ TEST(LogBackendRecovery, CorruptFinalRecordRollsBackToPreviousFlush) {
   auto backend = std::make_shared<LogBackend>(path);
   EXPECT_GT(backend->stats().torn_bytes_dropped, 0u);
   EXPECT_EQ(backend->file_bytes(), bytes_before_last);
-  StateDB reopened{StateConfig{}, backend};
+  StateDB reopened{backend};
   EXPECT_EQ(reopened.state_root(), root_before_last);
   EXPECT_FALSE(reopened.account_exists(addr_of(2)));
 }
@@ -442,7 +479,7 @@ TEST(LogBackendRecovery, CorruptFinalRecordRollsBackToPreviousFlush) {
 TEST(LogBackendCompaction, DropsSupersededRecordsAndPreservesState) {
   const std::string path = fresh_log_path("srbb_compact.log");
   auto backend = std::make_shared<LogBackend>(path);
-  StateDB db{StateConfig{}, backend};
+  StateDB db{backend};
   for (int round = 0; round < 20; ++round) {
     db.add_balance(addr_of(1), U256{1});
     db.add_balance(addr_of(2), U256{2});
@@ -461,91 +498,9 @@ TEST(LogBackendCompaction, DropsSupersededRecordsAndPreservesState) {
 
   // The compacted file reopens to the same state.
   backend.reset();
-  StateDB reopened{StateConfig{}, std::make_shared<LogBackend>(path)};
+  StateDB reopened{std::make_shared<LogBackend>(path)};
   EXPECT_EQ(reopened.state_root(), root);
 }
 
 }  // namespace
 }  // namespace srbb::state
-
-// --- deferred root computation (oracle wiring) -------------------------------
-
-namespace srbb::node {
-namespace {
-
-const crypto::SignatureScheme& scheme() {
-  return crypto::SignatureScheme::fast_sim();
-}
-
-txn::BlockPtr transfer_block(std::uint64_t index, std::uint64_t nonce) {
-  txn::TxParams params;
-  params.nonce = nonce;
-  params.gas_limit = 30'000;
-  params.to = scheme().make_identity(4242).address();
-  params.value = U256{10};
-  auto tx = txn::make_tx_ptr(
-      txn::make_signed(params, scheme().make_identity(1), scheme()));
-  return std::make_shared<const txn::Block>(
-      txn::make_block(index, 0, 0, Hash32{}, {std::move(tx)},
-                      scheme().make_identity(0), scheme()));
-}
-
-GenesisSpec funded_genesis() {
-  GenesisSpec genesis;
-  genesis.accounts.push_back(
-      {scheme().make_identity(1).address(), U256{1'000'000'000}});
-  return genesis;
-}
-
-TEST(DeferredRoot, RepublishesBetweenIntervalBoundaries) {
-  state::StateConfig cfg;
-  cfg.defer_root = true;
-  cfg.root_interval = 4;
-  ExecutionOracle deferred{funded_genesis(), {}, scheme(), cfg};
-  ExecutionOracle eager{funded_genesis(), {}, scheme()};
-
-  std::vector<Hash32> deferred_roots;
-  std::vector<Hash32> eager_roots;
-  for (std::uint64_t index = 0; index < 9; ++index) {
-    const std::vector<txn::BlockPtr> blocks = {transfer_block(index, index)};
-    deferred_roots.push_back(deferred.execute(index, blocks).state_root);
-    eager_roots.push_back(eager.execute(index, blocks).state_root);
-  }
-
-  // Boundaries recompute and agree with the eager oracle; in between, the
-  // last boundary root is republished even though the state advanced.
-  for (std::uint64_t index = 0; index < 9; ++index) {
-    if (index % cfg.root_interval == 0) {
-      EXPECT_EQ(deferred_roots[index], eager_roots[index]) << index;
-    } else {
-      EXPECT_EQ(deferred_roots[index],
-                deferred_roots[index - index % cfg.root_interval])
-          << index;
-      EXPECT_NE(deferred_roots[index], eager_roots[index]) << index;
-    }
-  }
-  EXPECT_EQ(deferred.root_stats().computed, 3u);  // indices 0, 4, 8
-  EXPECT_EQ(deferred.root_stats().deferred, 6u);
-  EXPECT_EQ(eager.root_stats().computed, 9u);
-  EXPECT_EQ(eager.root_stats().deferred, 0u);
-  // The underlying states are identical regardless of publication cadence.
-  EXPECT_EQ(deferred.db().state_root(), eager.db().state_root());
-}
-
-TEST(DeferredRoot, ResetClearsRootMemo) {
-  state::StateConfig cfg;
-  cfg.defer_root = true;
-  cfg.root_interval = 8;
-  ExecutionOracle oracle{funded_genesis(), {}, scheme(), cfg};
-  const Hash32 genesis_root = oracle.db().state_root();
-  oracle.execute(0, {transfer_block(0, 0)});
-  oracle.reset();
-  EXPECT_EQ(oracle.db().state_root(), genesis_root);
-  EXPECT_EQ(oracle.root_stats().computed, 0u);
-  // Index 0 after reset computes afresh (no stale memo republished).
-  const Hash32 root = oracle.execute(0, {transfer_block(0, 0)}).state_root;
-  EXPECT_EQ(root, oracle.db().state_root());
-}
-
-}  // namespace
-}  // namespace srbb::node

@@ -8,8 +8,10 @@
 #include <malloc.h>
 #endif
 
+#include "common/rng.hpp"
 #include "crypto/keccak.hpp"
 #include "state/overlay.hpp"
+#include "support/reference_trie.hpp"
 
 namespace srbb::state {
 namespace {
@@ -58,7 +60,7 @@ TEST(StateDB, CodeAndHash) {
   const Bytes code{0x60, 0x01};
   db.set_code(addr(3), code);
   EXPECT_EQ(db.code(addr(3)), code);
-  EXPECT_NE(db.code_hash(addr(3)), db.code_hash(addr(4)));  // vs empty
+  EXPECT_NE(db.code_keccak(addr(3)), db.code_keccak(addr(4)));  // vs empty
 }
 
 TEST(StateDB, StorageZeroWriteClearsSlot) {
@@ -209,59 +211,60 @@ TEST(StateRootMpt, DeterministicAcrossInsertionOrder) {
     b.set_storage(addr(static_cast<std::uint8_t>(i)), key(2), U256{9});
     b.add_balance(addr(static_cast<std::uint8_t>(i)), U256{7});
   }
-  EXPECT_EQ(a.state_root_mpt(), b.state_root_mpt());
+  EXPECT_EQ(a.state_root(), b.state_root());
 }
 
 TEST(StateRootMpt, SensitiveToEveryField) {
   StateDB base;
   base.add_balance(addr(1), U256{1});
-  const Hash32 root = base.state_root_mpt();
+  const Hash32 root = base.state_root();
 
   StateDB nonce_diff;
   nonce_diff.add_balance(addr(1), U256{1});
   nonce_diff.increment_nonce(addr(1));
-  EXPECT_NE(nonce_diff.state_root_mpt(), root);
+  EXPECT_NE(nonce_diff.state_root(), root);
 
   StateDB storage_diff;
   storage_diff.add_balance(addr(1), U256{1});
   storage_diff.set_storage(addr(1), key(1), U256{1});
-  EXPECT_NE(storage_diff.state_root_mpt(), root);
+  EXPECT_NE(storage_diff.state_root(), root);
 
   StateDB code_diff;
   code_diff.add_balance(addr(1), U256{1});
   code_diff.set_code(addr(1), Bytes{0x60});
-  EXPECT_NE(code_diff.state_root_mpt(), root);
+  EXPECT_NE(code_diff.state_root(), root);
 }
 
 TEST(StateRoot, MemoizedRootTracksWritesAndReverts) {
-  // state_root() is cached until the next journaled write; the cached value
-  // must stay indistinguishable from a fresh recompute.
+  // Branch memos survive between roots and only written keys are re-synced;
+  // the result must stay indistinguishable from a fresh recompute.
   StateDB db;
   db.add_balance(addr(1), U256{5});
   const Hash32 first = db.state_root();
-  EXPECT_EQ(db.state_root(), first);  // cache hit, same digest
+  EXPECT_EQ(db.state_root(), first);  // repeat root, same digest
   db.add_balance(addr(2), U256{9});
   const Hash32 second = db.state_root();
   EXPECT_NE(second, first);
   const auto snap = db.snapshot();
   db.set_storage(addr(2), key(1), U256{3});
   EXPECT_NE(db.state_root(), second);
-  db.revert_to(snap);  // revert must invalidate the cache too
+  db.revert_to(snap);  // revert must invalidate the memos too
   EXPECT_EQ(db.state_root(), second);
   db.delete_account(addr(2));
   EXPECT_EQ(db.state_root(), first);
+  EXPECT_EQ(db.state_root(), state_root_mpt_full(db));
 }
 
 TEST(StateRootMpt, TracksRevert) {
   StateDB db;
   db.add_balance(addr(1), U256{5});
   db.commit();
-  const Hash32 before = db.state_root_mpt();
+  const Hash32 before = db.state_root();
   const auto snap = db.snapshot();
   db.add_balance(addr(2), U256{9});
-  EXPECT_NE(db.state_root_mpt(), before);
+  EXPECT_NE(db.state_root(), before);
   db.revert_to(snap);
-  EXPECT_EQ(db.state_root_mpt(), before);
+  EXPECT_EQ(db.state_root(), before);
 }
 
 TEST(StateRootMpt, IndependentOfInsertionOrder) {
@@ -285,7 +288,6 @@ TEST(StateRootMpt, IndependentOfInsertionOrder) {
   forward.commit();
   backward.commit();
   EXPECT_EQ(forward.state_root(), backward.state_root());
-  EXPECT_EQ(forward.state_root_mpt(), backward.state_root_mpt());
 }
 
 TEST(StateDB, CodeKeccakIsMemoizedBySetCode) {
@@ -331,6 +333,51 @@ TEST(Overlay, CodeKeccakRoutesThroughBuffer) {
             crypto::Keccak256::hash(BytesView{base_code}));
   // Code-less address: the canonical empty-code hash.
   EXPECT_EQ(overlay.code_keccak(addr(9)), empty_code_keccak());
+}
+
+// A burst of writes large enough (more than LeanTrie::kParallelRehashKeys
+// touched accounts) that the account trie re-hashes its top subtries on the
+// shared pool, mixed with storage writes, zero writes, deletions and
+// recreations; every root must equal the from-scratch reference.
+TEST(StateRootParallel, LargeDirtySetMatchesReference) {
+  Rng rng{77};
+  StateDB db;
+  const auto account = [](std::uint64_t i) {
+    Address a;
+    put_be64(a.data.data() + 4, i * 0x9e3779b97f4a7c15ull);
+    return a;
+  };
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    db.add_balance(account(i), U256{1 + i});
+    if (i % 10 == 0) {
+      db.set_storage(account(i), key(static_cast<std::uint8_t>(i % 7)),
+                     U256{i + 1});
+    }
+  }
+  db.commit();
+  ASSERT_EQ(db.state_root(), state_root_mpt_full(db));
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 1500; ++i) {
+      const Address a = account(rng.next_below(3500));
+      switch (rng.next_below(8)) {
+        case 0:
+          db.delete_account(a);
+          break;
+        case 1:
+          db.set_storage(a, key(static_cast<std::uint8_t>(rng.next_below(5))),
+                         U256{rng.next_below(3)});  // zero writes erase
+          break;
+        case 2:
+          db.set_code(a, Bytes{0x60, static_cast<std::uint8_t>(i)});
+          break;
+        default:
+          db.add_balance(a, U256{1});
+          db.increment_nonce(a);
+      }
+    }
+    db.commit();
+    ASSERT_EQ(db.state_root(), state_root_mpt_full(db)) << "round " << round;
+  }
 }
 
 // Sanitizer runtimes replace malloc, so glibc's statistics do not see it.

@@ -1,11 +1,14 @@
-#include "state/trie.hpp"
-
+// The value-storing reference trie (tests/support) against yellow-paper and
+// Ethereum vectors, and the program's key-only LeanTrie against both.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 
 #include "common/rng.hpp"
+#include "state/trie.hpp"
+#include "support/reference_trie.hpp"
 
 namespace srbb::state {
 namespace {
@@ -344,25 +347,137 @@ TEST(TrieNodeCache, RefsAccumulateAndInvalidate) {
   EXPECT_GE(trie.cache_stats().cached_refs, warm);
 }
 
-TEST(TrieNodeCache, BoundedPoolDropsAndRecovers) {
-  MerklePatriciaTrie bounded;
-  bounded.set_node_cache_limit(8);
-  MerklePatriciaTrie unbounded;
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    Bytes key(4);
-    put_be32(key.data(), i * 2654435761u);  // scattered keys -> wide trie
-    bounded.put(key, key);
-    unbounded.put(key, key);
-    if (i % 50 == 0) {
-      ASSERT_EQ(bounded.root_hash(), unbounded.root_hash());
+// --- the program's key-only trie -------------------------------------------
+
+/// Values for a LeanTrie from a map, mirrored into a reference trie.
+class MapValues final : public TrieValues {
+ public:
+  void put(const Bytes& key, const Bytes& value) {
+    values_[key] = value;
+    trie_.put(key);
+    reference_.put(key, value);
+  }
+  void erase(const Bytes& key) {
+    values_.erase(key);
+    trie_.erase(key);
+    reference_.erase(key);
+  }
+  void value(BytesView key, Bytes& out) const override {
+    out = values_.at(Bytes{key.begin(), key.end()});
+  }
+  Hash32 root() { return trie_.root_hash(*this); }
+  Hash32 reference_root() const { return reference_.root_hash(); }
+  /// A fresh LeanTrie built from the sorted keys.
+  Hash32 built_root() const {
+    std::vector<BytesView> keys;
+    for (const auto& [key, value] : values_) keys.emplace_back(key);
+    LeanTrie built;
+    built.build(keys);
+    return built.root_hash(*this);
+  }
+  LeanTrie& trie() { return trie_; }
+
+ private:
+  std::map<Bytes, Bytes> values_;
+  LeanTrie trie_;
+  MerklePatriciaTrie reference_;
+};
+
+TEST(LeanTrieEthereumVectors, DogePuzzle) {
+  MapValues m;
+  m.put(bytes_of("do"), bytes_of("verb"));
+  m.put(bytes_of("dog"), bytes_of("puppy"));
+  m.put(bytes_of("doge"), bytes_of("coin"));
+  m.put(bytes_of("horse"), bytes_of("stallion"));
+  const Hash32 want =
+      pinned("5991bb8c6514148a29db676a14ac506cd2cd5775ace63c30a4fe457715e9ac84");
+  EXPECT_EQ(m.root(), want);
+  EXPECT_EQ(m.built_root(), want);
+}
+
+TEST(LeanTrieEthereumVectors, FooFood) {
+  MapValues m;
+  m.put(bytes_of("foo"), bytes_of("bar"));
+  m.put(bytes_of("food"), bytes_of("bass"));
+  const Hash32 want =
+      pinned("17beaa1648bafa633cda809c90c04af50fc8aed3cb40d16efbddee6fdf63c4c3");
+  EXPECT_EQ(m.root(), want);
+  EXPECT_EQ(m.built_root(), want);
+}
+
+TEST(LeanTrieEthereumVectors, DeletionRestoresPinnedRoot) {
+  MapValues m;
+  m.put(bytes_of("foo"), bytes_of("bar"));
+  m.put(bytes_of("food"), bytes_of("bass"));
+  m.put(bytes_of("fob"), bytes_of("x"));
+  m.root();  // memoize, so the erase below must invalidate
+  m.erase(bytes_of("fob"));
+  EXPECT_EQ(
+      m.root(),
+      pinned("17beaa1648bafa633cda809c90c04af50fc8aed3cb40d16efbddee6fdf63c4c3"));
+  m.erase(bytes_of("foo"));
+  m.erase(bytes_of("food"));
+  EXPECT_TRUE(m.trie().empty());
+  EXPECT_EQ(m.root(), empty_trie_root());
+}
+
+// Short keys over a 4-symbol alphabet: prefixes of each other (branch
+// values), long shared extensions, splits and collapses at every depth.
+class LeanTrieRandomOps : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LeanTrieRandomOps, MatchesReferenceAndBuild) {
+  Rng rng{GetParam()};
+  MapValues m;
+  for (int step = 0; step < 2000; ++step) {
+    Bytes key(rng.next_below(6));
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_below(4) * 0x11);
+    if (rng.next_below(10) < 6) {
+      Bytes value(1 + rng.next_below(40));
+      for (auto& b : value) b = static_cast<std::uint8_t>(rng.next_u64());
+      m.put(key, value);
+    } else {
+      m.erase(key);
+    }
+    if (step % 23 == 0) {
+      ASSERT_EQ(m.root(), m.reference_root()) << "step " << step;
     }
   }
-  EXPECT_EQ(bounded.root_hash(), unbounded.root_hash());
-  // The pool overflowed at least once and stayed within its bound after the
-  // last drop-and-rewarm cycle... the bound is checked before hashing, so
-  // post-hash occupancy is one full rewarm.
-  EXPECT_GT(bounded.cache_stats().full_drops, 0u);
-  EXPECT_EQ(unbounded.cache_stats().full_drops, 0u);
+  EXPECT_EQ(m.root(), m.reference_root());
+  EXPECT_EQ(m.built_root(), m.reference_root());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LeanTrieRandomOps,
+                         ::testing::Values(1ull, 2ull, 3ull, 7ull, 99ull));
+
+// Enough touched keys that root_hash() re-hashes the top subtries on the
+// shared pool; the root must not depend on it.
+TEST(LeanTrie, ParallelRehashMatchesReference) {
+  Rng rng{2024};
+  MapValues m;
+  std::vector<Bytes> keys;
+  const auto value = [&rng] {
+    Bytes v(1 + rng.next_below(70));
+    for (auto& b : v) b = static_cast<std::uint8_t>(rng.next_u64());
+    return v;
+  };
+  for (int i = 0; i < 4000; ++i) {
+    Bytes key(20);
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
+    keys.push_back(key);
+    m.put(key, value());
+  }
+  ASSERT_EQ(m.root(), m.reference_root());
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < LeanTrie::kParallelRehashKeys; ++i) {
+      const Bytes& key = keys[rng.next_below(keys.size())];
+      if (rng.next_below(4) == 0) {
+        m.erase(key);
+      } else {
+        m.put(key, value());
+      }
+    }
+    ASSERT_EQ(m.root(), m.reference_root()) << "round " << round;
+  }
 }
 
 }  // namespace

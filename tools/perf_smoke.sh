@@ -10,15 +10,15 @@
 #   3. zero-copy RLP parse beats the copying decoder on a block-shaped frame;
 #   4. analysis-hinted scheduling aborts strictly fewer speculations than
 #      blind Block-STM on the hot-slot regime (the rw-set hints claim);
-#   5. the incremental node-cached MPT root (block-sized write burst at 1e5
+#   5. the incremental MPT state root (block-sized write burst at 1e5
 #      accounts) beats the from-scratch rebuild (the state-stack claim);
 #   6. on the two-contract router regime the composed interprocedural hints
 #      schedule with zero aborts and zero sequential fallbacks while blind
 #      speculation aborts (the summary-composition claim);
 #   7. executing a 2048-transfer superblock through the real execution
-#      oracle (one batch signature check, execution, flat root) costs less
-#      wall time per transaction than one single Ed25519 verify (the
-#      batched check (i) claim).
+#      oracle (one batch signature check, execution, incremental root)
+#      costs less wall time per transaction than one single Ed25519 verify
+#      (the batched check (i) claim).
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the optimistic parallel execution path: build with
 # -DSRBB_SANITIZE=thread and run the concurrency-sensitive tests under TSan
-# so data races in the overlay/commit pipeline are caught mechanically.
+# so data races in the overlay/commit pipeline and in the pooled state-root
+# re-hash are caught mechanically.
 #
 # Usage: tools/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -15,6 +16,7 @@ cmake --build "$build_dir" -j "$(nproc)" \
       --target test_parallel_executor test_thread_pool \
                test_oracle test_chaos test_validation_pipeline \
                test_batch_verify test_rwset test_reliability \
-               test_state_backend test_interproc test_oracle_signature_batch
+               test_state_backend test_interproc test_oracle_signature_batch \
+               test_statedb test_trie
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|DeferredRoot|Interproc|OracleSignatureBatch'
+      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|StateRootParallel|LeanTrie.Parallel|Interproc|OracleSignatureBatch'
